@@ -14,12 +14,13 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import (
+    GridError,
+    PHYSICAL,
     RadialField,
     RadialGrid,
     SPECTRAL,
     SPHERE_S3,
     FOURIER_NORM,
-    lp_norm,
     to_spectral,
     transform,
 )
@@ -246,6 +247,16 @@ def _sobolev_p(inv_half_shift: float) -> float:
     return 1.0 / inv
 
 
+def xdelta_exponents(delta: float, dual: bool = False) -> tuple:
+    """(s, p) of the Besov factor of X^delta, or of X^delta_* when dual:
+    Besov(delta, 2(delta-1), 2) and Besov(-delta, 2(1-delta), 2)."""
+    if not 0 <= delta < DELTA_STAR:
+        raise ValueError(f"delta must lie in [0, {DELTA_STAR:.4f}), got {delta}")
+    if dual:
+        return -delta, _sobolev_p(1.0 - delta)
+    return delta, _sobolev_p(delta - 1.0)
+
+
 def spacetime_norm_X(traj: TrajectorySamples, delta: float,
                      dual: bool = False) -> float:
     """Endpoint space-time norm of a sampled trajectory.
@@ -256,52 +267,86 @@ def spacetime_norm_X(traj: TrajectorySamples, delta: float,
     samples).  dual=True evaluates X^delta_* = L^2_t Besov(-delta, 2(1-delta), 2).
     Time integrals by trapezoid over the samples.
     """
-    if not 0 <= delta < DELTA_STAR:
-        raise ValueError(f"delta must lie in [0, {DELTA_STAR:.4f}), got {delta}")
+    s, p = xdelta_exponents(delta, dual)
     grid = traj.grid
-    blocks = dyadic_blocks(grid)
-    w = grid.quad_weights_rho
-    spectra = [to_spectral(f).values for f in traj.fields]
-
+    terms, block_l2 = dyadic_profile(_spectra(traj.fields), grid, s, p,
+                                     dyadic_blocks(grid))
+    besov = np.sqrt(np.sum(terms**2, axis=1))
     if dual:
-        p = _sobolev_p(1.0 - delta)
-        vals = np.array([besov_from_spectrum(sv, grid, -delta, p, 2.0, blocks)
-                         for sv in spectra])
-        return _l2_time(traj.times, vals)
+        return float(_l2_time(traj.times, besov))
+    return float(xdelta_from_profile(traj.times, besov[:, None],
+                                     block_l2[:, None])[0])
 
-    p = _sobolev_p(delta - 1.0)
-    x_vals = np.array([besov_from_spectrum(sv, grid, delta, p, 2.0, blocks)
-                       for sv in spectra])
-    x_part = _l2_time(traj.times, x_vals)
 
-    sup_sq = 0.0
-    for j in blocks:
-        cut = chi0(grid.rho_nodes / j)
-        if not np.any(cut):
-            continue
-        block_l2 = [np.sqrt(SPHERE_S3 * FOURIER_NORM**-2
-                            * np.sum(w * np.abs(sv * cut) ** 2))
-                    for sv in spectra]
-        sup_sq += max(block_l2) ** 2
-    return max(x_part, float(np.sqrt(sup_sq)))
+def xdelta_from_profile(times: np.ndarray, besov: np.ndarray,
+                        block_l2: np.ndarray) -> np.ndarray:
+    """max(cL^inf_t L^2, X^delta) per column from sampled dyadic profiles:
+    besov (S, m) and block_l2 (S, m, B) at the S sample times."""
+    sup = np.sqrt(np.sum(block_l2.max(axis=0) ** 2, axis=-1))
+    return np.maximum(_l2_time(times, besov), sup)
+
+
+# Complex entries of one synthesis pass's (n, columns x blocks) block; longer
+# column sets are split into passes of this size (4 MB).
+SYNTHESIS_ENTRIES = 1 << 18
+
+
+def dyadic_profile(spec: np.ndarray, grid: RadialGrid, s: float, p: float,
+                   blocks: np.ndarray) -> tuple:
+    """Dyadic profile of the spectral columns spec (n, m).
+
+    Returns (terms, block_l2), both (m, B) over the B blocks whose cutoff
+    meets the grid: terms[k, b] = j_b^s |P_{j_b} f_k|_p from one kernel
+    pass over all columns x blocks (split when larger than
+    SYNTHESIS_ENTRIES), and block_l2[k, b] = |P_{j_b} f_k|_2 by Plancherel.
+    """
+    spec = spec.reshape(grid.n, -1)
+    if not np.all(np.isfinite(spec)):
+        raise GridError("dyadic synthesis of non-finite values")
+    cuts = chi0(grid.rho_nodes[:, None] / np.asarray(blocks)[None, :])
+    live = np.any(cuts, axis=0)
+    cuts, js = cuts[:, live], np.asarray(blocks)[live]
+    m, nb = spec.shape[1], len(js)
+    terms = np.zeros((m, nb))
+    block_l2 = np.zeros((m, nb))
+    if not nb:
+        return terms, block_l2
+    chunk = max(1, SYNTHESIS_ENTRIES // (grid.n * nb))
+    for lo in range(0, m, chunk):
+        pieces = spec[:, lo:lo + chunk, None] * cuts[:, None, :]
+        block_l2[lo:lo + chunk] = np.sqrt(
+            SPHERE_S3 * FOURIER_NORM**-2
+            * np.einsum("i,ikb->kb", grid.quad_weights_rho,
+                        np.abs(pieces) ** 2))
+        a = np.abs(grid.to_physical_values(pieces.reshape(grid.n, -1)))
+        if np.isinf(p):
+            norms = a.max(axis=0, initial=0.0)
+        else:
+            norms = (SPHERE_S3 * (grid.quad_weights_r @ a**p)) ** (1.0 / p)
+        terms[lo:lo + chunk] = js**s * norms.reshape(-1, nb)
+    return terms, block_l2
 
 
 def besov_from_spectrum(spec_values: np.ndarray, grid: RadialGrid, s: float,
                         p: float, q: float, blocks: np.ndarray) -> float:
-    terms = []
-    for j in blocks:
-        cut = spec_values * chi0(grid.rho_nodes / j)
-        if not np.any(cut):
-            continue
-        piece = transform(RadialField(grid, cut, SPECTRAL))
-        terms.append(j**s * lp_norm(piece, p))
-    if not terms:
-        return 0.0
-    t = np.array(terms)
-    return float(t.max()) if np.isinf(q) else float((t**q).sum() ** (1.0 / q))
+    t = dyadic_profile(spec_values, grid, s, p, blocks)[0][0]
+    if np.isinf(q):
+        return float(t.max(initial=0.0))
+    return float((t**q).sum() ** (1.0 / q))
 
 
-def _l2_time(times: np.ndarray, values: np.ndarray) -> float:
+def _spectra(fields) -> np.ndarray:
+    """Spectral values of fields as the columns of one (n, m) block, with
+    the physical ones transformed in one pass."""
+    out = np.column_stack([f.values for f in fields])
+    phys = [k for k, f in enumerate(fields) if f.space == PHYSICAL]
+    if phys:
+        out[:, phys] = fields[0].grid.to_spectral_values(out[:, phys])
+    return out
+
+
+def _l2_time(times: np.ndarray, values: np.ndarray):
+    """L^2_t of the samples along axis 0, by the trapezoid rule."""
     if len(times) == 1:
-        return float(values[0])
-    return float(np.sqrt(np.trapezoid(values**2, times)))
+        return values[0]
+    return np.sqrt(np.trapezoid(values**2, times, axis=0))

@@ -12,32 +12,55 @@ Every substep is a unitary spectral multiplier or a pointwise phase
 rotation, which is what keeps the mass drift at transform roundoff over
 10^4 steps.
 
+The stepping kernel `_Propagator` keeps the state spectral, as column
+blocks u (n, m) and N (n, 1): the half-steps are pointwise phase
+multiplies, and each kernel pass (a dense n x n product) carries every
+column at once.  Per step, by mode:
+
+    full              2 passes: [u, N] backward for the nonlinear substep,
+                      [u, |u|^2] forward (the source enters as -i dt rho
+                      times the transform of |u|^2; spectral N is kept)
+    linear_potential  2 passes: [u..., N] backward, [u...] forward
+    free              no pass
+
+The sponge damps u and N by e^{-sigma dt / 2} on each side of the
+nonlinear substep, so a step stays symmetric and costs no extra pass
+(free mode then makes the two passes too); the damped N joins the
+forward pass.  In full mode the source is taken from the damped |u|^2
+between the two dampings and is not damped again.
+`run` returns to physical space only at monitor, store and adaptive-check
+instants (one backward pass each); `strichartz_probe` steps its whole
+ensemble as the u columns of one state that shares the free-wave column.
+
 Modes: "full" (everything on), "linear_potential" (wave source dropped: N
 evolves freely, u still sees Re N), "free" (all nonlinearities off).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .grid import (
-    PHYSICAL,
     RadialField,
     RadialGrid,
+    SPECTRAL,
     SPHERE_S3,
+    gradient_norm_sq,
     lp_norm,
+    smooth_transition,
     to_physical,
 )
-from .dyadic import TrajectorySamples, dyadic_blocks, spacetime_norm_X
-from .variational import (
-    ES_W_EXACT,
-    MASS_THRESHOLD_EXACT,
-    nehari_K,
-    zakharov_energy,
+from .dyadic import (
+    TrajectorySamples,
+    dyadic_blocks,
+    dyadic_profile,
+    spacetime_norm_X,  # noqa: F401  (kept in this namespace for bench/tracing.py)
+    xdelta_exponents,
+    xdelta_from_profile,
 )
-from .grid import gradient_norm_sq
+from .variational import nehari_K, zakharov_energy
 
 FULL = "full"
 LINEAR_POTENTIAL = "linear_potential"
@@ -132,62 +155,73 @@ CSV_COLUMNS = ("t", "mass", "energy_Z", "grad_u_L2", "N_L2", "u_L4", "K_u",
 
 
 class _Propagator:
-    """Precomputed multiplier phases and sponge profile for one (grid, cfg)."""
+    """The Strang stepping kernel for one (grid, cfg).
+
+    The state is spectral: u (n, m) and N (n, 1) column blocks, with m = 1
+    in full mode (N is driven by |u|^2).  The phases and sponge factor are
+    kept for the current dt only.
+    """
 
     def __init__(self, grid: RadialGrid, cfg: IntegratorConfig):
         self.grid = grid
         self.cfg = cfg
-        self._cache = {}
-        r = grid.r_nodes
+        self._dt = None
         if cfg.sponge:
-            from .grid import smooth_transition
-            x = (r / grid.r_max - cfg.sponge_start_fraction) / (
+            x = (grid.r_nodes / grid.r_max - cfg.sponge_start_fraction) / (
                 1.0 - cfg.sponge_start_fraction)
             self.sponge_profile = cfg.sponge_strength * smooth_transition(x)
         else:
             self.sponge_profile = None
 
-    def phases(self, dt: float):
-        key = dt
-        if key not in self._cache:
-            rho = self.grid.rho_nodes
-            self._cache[key] = (np.exp(0.5j * dt * rho**2),
-                                np.exp(0.5j * self.cfg.alpha * dt * rho))
-        return self._cache[key]
+    def _set_dt(self, dt: float):
+        if dt == self._dt:
+            return
+        rho = self.grid.rho_nodes[:, None]
+        self._ph_u = np.exp(0.5j * dt * rho**2)
+        self._ph_N = np.exp(0.5j * self.cfg.alpha * dt * rho)
+        self._half_damp = (None if self.sponge_profile is None else
+                           np.exp(-0.5 * dt * self.sponge_profile)[:, None])
+        self._dt = dt
 
-    def linear_half(self, u: np.ndarray, N: np.ndarray, dt: float):
-        ph_u, ph_N = self.phases(dt)
-        both = self.grid.to_spectral_values(np.column_stack([u, N]))
-        both[:, 0] *= ph_u
-        both[:, 1] *= ph_N
-        back = self.grid.to_physical_values(both)
-        return back[:, 0], back[:, 1]
+    def load(self, u: np.ndarray, N: np.ndarray):
+        """Spectral state of physical u (n,) or (n, m) and N (n,): one pass."""
+        u = u.reshape(self.grid.n, -1)
+        spec = self.grid.to_spectral_values(np.column_stack([u, N]))
+        return spec[:, :-1], spec[:, -1:]
 
-    def step_values(self, u: np.ndarray, N: np.ndarray, dt: float,
-                    skip_sponge: bool = False):
-        cfg = self.cfg
-        u, N = self.linear_half(u, N, dt)
-        if cfg.mode != FREE:
-            # exact nonlinear substep: Re N is untouched by the source
-            phase = np.exp(-1j * dt * N.real)
-            if cfg.mode == FULL:
-                w = np.abs(u) ** 2
-                Dw = self.grid.to_physical_values(
-                    self.grid.rho_nodes * self.grid.to_spectral_values(w))
-                N = N - 1j * dt * Dw
-            u = u * phase
-        u, N = self.linear_half(u, N, dt)
-        if self.sponge_profile is not None and not skip_sponge:
-            damp = np.exp(-dt * self.sponge_profile)
-            u = u * damp
-            N = N * damp
-        return u, N
+    def fields(self, u: np.ndarray, N: np.ndarray):
+        """Physical (u, N) fields of a one-column spectral state: one pass."""
+        phys = self.grid.to_physical_values(np.hstack([u, N]))
+        return (RadialField(self.grid, phys[:, 0].copy()),
+                RadialField(self.grid, phys[:, 1].copy()))
 
-    def apply_sponge(self, u: np.ndarray, N: np.ndarray, dt: float):
-        if self.sponge_profile is None:
-            return u, N
-        damp = np.exp(-dt * self.sponge_profile)
-        return u * damp, N * damp
+    def step_values(self, u: np.ndarray, N: np.ndarray, dt: float):
+        """One Strang step of the spectral blocks u (n, m) and N (n, 1)."""
+        self._set_dt(dt)
+        ph_u, ph_N, damp = self._ph_u, self._ph_N, self._half_damp
+        mode = self.cfg.mode
+        u = ph_u * u
+        N = ph_N * N
+        if mode != FREE or damp is not None:
+            m = u.shape[1]
+            phys = self.grid.to_physical_values(np.hstack([u, N]))
+            up, Np = phys[:, :m], phys[:, m:]
+            if damp is not None:
+                up, Np = damp * up, damp * Np
+            # exact nonlinear substep: |u| and Re N stay constant in it
+            source = np.abs(up) ** 2 if mode == FULL else None
+            if mode != FREE:
+                up = up * np.exp(-1j * dt * Np.real)
+            forward = [up] if damp is None else [damp * up, damp * Np]
+            if source is not None:
+                forward.append(source)
+            spec = self.grid.to_spectral_values(np.hstack(forward))
+            u = spec[:, :m]
+            if damp is not None:
+                N = spec[:, m:m + 1]
+            if source is not None:
+                N = N - 1j * dt * self.grid.rho_nodes[:, None] * spec[:, -1:]
+        return ph_u * u, ph_N * N
 
 
 class BlowupError(RuntimeError):
@@ -199,35 +233,41 @@ def step(state: ZakharovState, cfg: IntegratorConfig,
     """Advance one Strang step; raises BlowupError on non-finite output."""
     dt = cfg.dt if dt is None else dt
     prop = _Propagator(state.grid, cfg)
-    u, N = prop.step_values(state.u.values, state.N.values, dt)
+    u, N = prop.step_values(*prop.load(state.u.values, state.N.values), dt)
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(N))):
         raise BlowupError(f"non-finite state at t={state.t + dt:g}")
-    return ZakharovState(RadialField(state.grid, u),
-                         RadialField(state.grid, N), state.t + dt)
+    return ZakharovState(*prop.fields(u, N), state.t + dt)
 
 
-def flow_energy(u: RadialField, N: RadialField, mode: str) -> float:
+def flow_energy(u: RadialField, N: RadialField, mode: str,
+                grad_sq: float | None = None) -> float:
     """Conserved energy of the selected flow: E_Z in full mode, its
     quadratic part when the coupling is off (the cross term is not an
-    invariant of the free flows)."""
+    invariant of the free flows).  `grad_sq` is |grad u|_2^2 if known."""
+    if grad_sq is None:
+        grad_sq = gradient_norm_sq(u)
     if mode == FULL:
-        return zakharov_energy(u, N)
-    return 0.5 * (gradient_norm_sq(u) + 0.5 * lp_norm(N, 2) ** 2)
+        return zakharov_energy(u, N, grad_sq)
+    return 0.5 * (grad_sq + 0.5 * lp_norm(N, 2) ** 2)
 
 
-def _monitor(log: RunLog, grid, u_vals, N_vals, t, dt, cfg):
-    u = RadialField(grid, u_vals)
-    N = RadialField(grid, N_vals)
+def _grad_sq(grid: RadialGrid, u_spec: np.ndarray) -> float:
+    return gradient_norm_sq(RadialField(grid, u_spec[:, 0], SPECTRAL))
+
+
+def _monitor(log: RunLog, u: RadialField, N: RadialField, grad_sq: float,
+             t, dt, cfg):
+    grid = u.grid
     log.times.append(t)
     log.mass.append(lp_norm(u, 2) ** 2)
-    log.energy_Z.append(flow_energy(u, N, cfg.mode))
-    log.grad_u.append(np.sqrt(gradient_norm_sq(u)))
+    log.energy_Z.append(flow_energy(u, N, cfg.mode, grad_sq))
+    log.grad_u.append(np.sqrt(grad_sq))
     log.N_L2.append(lp_norm(N, 2))
     log.u_L4.append(lp_norm(u, 4))
-    log.K_u.append(nehari_K(u))
+    log.K_u.append(nehari_K(u, grad_sq))
     inside = grid.r_nodes < cfg.r_local
     log.local_mass.append(np.sqrt(
-        SPHERE_S3 * np.sum((grid.quad_weights_r * np.abs(u_vals) ** 2)[inside])))
+        SPHERE_S3 * np.sum((grid.quad_weights_r * np.abs(u.values) ** 2)[inside])))
     p = 1.0 / (0.5 - cfg.s_decay / 4.0)
     log.u_decay_norm.append(lp_norm(u, p))
     log.dt_hist.append(dt)
@@ -248,30 +288,30 @@ def run(state0: ZakharovState, cfg: IntegratorConfig, t_end: float,
     grid = state0.grid
     prop = _Propagator(grid, cfg)
     log = RunLog(sponge_active=cfg.sponge)
-    u = state0.u.values.copy()
-    N = state0.N.values.copy()
+    u, N = prop.load(state0.u.values, state0.N.values)
+    phys = (state0.u, state0.N)      # physical fields of the state (u, N)
     t = state0.t
     dt = cfg.dt
 
-    _monitor(log, grid, u, N, t, dt, cfg)
+    _monitor(log, *phys, _grad_sq(grid, u), t, dt, cfg)
     e_prev = log.energy_Z[0]
     grad_ceiling = cfg.grad_ceiling_factor * max(log.grad_u[0], 1e-12)
 
     store = cfg.store_every > 0
     if store:
         times_s = [t]
-        fields_u = [RadialField(grid, u.copy())]
-        fields_N = [RadialField(grid, N.copy())]
+        fields_u = [phys[0].copy()]
+        fields_N = [phys[1].copy()]
 
     k = 0
     while t < t_end - 1e-12:
         dt_step = min(dt, t_end - t)
         nu, nN = prop.step_values(u, N, dt_step)
         finite = np.all(np.isfinite(nu)) and np.all(np.isfinite(nN))
+        new_phys = None
         if cfg.adaptive and finite:
-            u_field = RadialField(grid, nu)
-            n_field = RadialField(grid, nN)
-            e_new = flow_energy(u_field, n_field, cfg.mode)
+            new_phys = prop.fields(nu, nN)
+            e_new = flow_energy(*new_phys, cfg.mode, _grad_sq(grid, nu))
             scale = max(abs(e_prev), 1e-12)
             if abs(e_new - e_prev) > cfg.drift_tol * scale:
                 if dt / 2.0 < cfg.dt_floor:
@@ -286,14 +326,18 @@ def run(state0: ZakharovState, cfg: IntegratorConfig, t_end: float,
                 continue
             log.add_event(t, "blowup", "non-finite values")
             break
-        u, N, t = nu, nN, t + dt_step
+        u, N, phys, t = nu, nN, new_phys, t + dt_step
         k += 1
-        if store and k % cfg.store_every == 0:
+        store_now = store and k % cfg.store_every == 0
+        monitor_now = k % cfg.monitor_every == 0 or t >= t_end - 1e-12
+        if phys is None and (store_now or monitor_now):
+            phys = prop.fields(u, N)
+        if store_now:
             times_s.append(t)
-            fields_u.append(RadialField(grid, u.copy()))
-            fields_N.append(RadialField(grid, N.copy()))
-        if k % cfg.monitor_every == 0 or t >= t_end - 1e-12:
-            _monitor(log, grid, u, N, t, dt_step, cfg)
+            fields_u.append(phys[0])
+            fields_N.append(phys[1])
+        if monitor_now:
+            _monitor(log, *phys, _grad_sq(grid, u), t, dt_step, cfg)
             if log.grad_u[-1] > grad_ceiling:
                 log.add_event(t, "blowup",
                               f"grad ceiling {grad_ceiling:.3g} exceeded")
@@ -309,8 +353,9 @@ def run(state0: ZakharovState, cfg: IntegratorConfig, t_end: float,
     if store:
         log.traj_u = TrajectorySamples(np.array(times_s), fields_u, "u")
         log.traj_N = TrajectorySamples(np.array(times_s), fields_N, "N")
-    log.final_state = ZakharovState(RadialField(grid, u),
-                                    RadialField(grid, N), t)
+    if phys is None:
+        phys = prop.fields(u, N)
+    log.final_state = ZakharovState(phys[0].copy(), phys[1].copy(), t)
     return log
 
 
@@ -415,20 +460,50 @@ def strichartz_probe(grid: RadialGrid, family: dict, delta: float,
     Evolves random unit-L^2 band-limited data under
     (i d/dt - Lap - Re V) u = 0 with V carried by the free wave flow
     (linear_potential mode), and reports the worst ratio at each horizon.
+
+    The members step together as the u columns of one state that shares
+    the V column.  Every store_every steps (and at t = 0) one batched
+    synthesis pass gives each member's X^delta profile; each horizon T is
+    reduced from the samples at t <= T.  A non-finite state at a sample
+    raises BlowupError.
     """
     horizons = np.sort(np.asarray(horizons, dtype=float))
+    t_end = float(horizons[-1])
+    if t_end <= 0.0:
+        raise ValueError("the horizons must reach past t = 0")
+    s, p = xdelta_exponents(delta)
     V0 = potential_from_family(grid, family, rng)
-    cfg = IntegratorConfig(dt=dt, mode=LINEAR_POTENTIAL, alpha=alpha,
-                           store_every=store_every,
-                           monitor_every=max(1, int(1.0 / dt)))
-    worst = np.zeros(len(horizons))
-    for _ in range(ensemble_size):
-        u0 = band_limited_unit_field(grid, rng)
-        log = run(ZakharovState(u0, V0, 0.0), cfg, float(horizons[-1]))
-        for i, T in enumerate(horizons):
-            restricted = log.traj_u.restricted(0.0, T)
-            ratio = spacetime_norm_X(restricted, delta)  # |u(0)|_2 = 1
-            worst[i] = max(worst[i], ratio)
+    members = [band_limited_unit_field(grid, rng).values
+               for _ in range(ensemble_size)]
+    prop = _Propagator(grid, IntegratorConfig(dt=dt, mode=LINEAR_POTENTIAL,
+                                              alpha=alpha))
+    u, V = prop.load(np.column_stack(members), V0.values)
+    blocks = dyadic_blocks(grid)
+
+    # t accumulates step by step exactly as in run(), so each horizon keeps
+    # the same samples as a restriction of run()'s stored trajectory
+    t, k = 0.0, 0
+    times, besov, block_l2 = [], [], []
+    while True:
+        if k % store_every == 0:
+            if not np.all(np.isfinite(u)):
+                raise BlowupError(f"non-finite probe state at t={t:g}")
+            terms, l2 = dyadic_profile(u, grid, s, p, blocks)
+            times.append(t)
+            besov.append(np.sqrt(np.sum(terms**2, axis=1)))
+            block_l2.append(l2)
+        if t >= t_end - 1e-12:
+            break
+        dt_step = min(dt, t_end - t)
+        u, V = prop.step_values(u, V, dt_step)
+        t += dt_step
+        k += 1
+
+    times = np.array(times)
+    besov, block_l2 = np.array(besov), np.array(block_l2)
+    worst = np.array([
+        xdelta_from_profile(times[keep], besov[keep], block_l2[keep]).max()
+        for keep in (times <= T for T in horizons)])  # |u(0)|_2 = 1
     return ProbeEstimate(horizons=horizons, max_ratio=worst,
                          potential_mass=lp_norm(V0, 2))
 

@@ -22,7 +22,6 @@ from .grid import (
     SPHERE_S3,
     field,
     gradient_norm_sq,
-    inner,
     lp_norm,
     to_physical,
     truncation_profile,
@@ -103,18 +102,25 @@ def nls_energy(u: RadialField) -> float:
     return 0.5 * gradient_norm_sq(u) - 0.25 * lp_norm(u, 4) ** 4
 
 
-def nehari_K(u: RadialField) -> float:
-    return gradient_norm_sq(u) - lp_norm(u, 4) ** 4
+def nehari_K(u: RadialField, grad_sq: float | None = None) -> float:
+    """K(u) = |grad u|_2^2 - |u|_4^4; `grad_sq` is |grad u|_2^2 if known."""
+    if grad_sq is None:
+        grad_sq = gradient_norm_sq(u)
+    return grad_sq - lp_norm(u, 4) ** 4
 
 
-def zakharov_energy(u: RadialField, N: RadialField) -> float:
+def zakharov_energy(u: RadialField, N: RadialField,
+                    grad_sq: float | None = None) -> float:
     """E_Z = (|grad u|^2 + |N|^2/2 - Re N |u|^2) dx, halved so that
-    E_Z = E_S + |N - |u|^2|_2^2 / 4 holds identically."""
+    E_Z = E_S + |N - |u|^2|_2^2 / 4 holds identically.  `grad_sq` is
+    |grad u|_2^2 if known (it saves the transform of u)."""
+    if grad_sq is None:
+        grad_sq = gradient_norm_sq(u)
     uu = to_physical(u)
     NN = to_physical(N)
     w = uu.grid.quad_weights_r
     cross = SPHERE_S3 * np.sum(w * np.real(NN.values) * np.abs(uu.values) ** 2)
-    return 0.5 * (gradient_norm_sq(u) + 0.5 * lp_norm(N, 2) ** 2 - cross)
+    return 0.5 * (grad_sq + 0.5 * lp_norm(N, 2) ** 2 - cross)
 
 
 def functionals(u: RadialField, N: RadialField,

@@ -26,7 +26,6 @@ from .grid import (
     RadialField,
     RadialGrid,
     SPHERE_S3,
-    inner,
     lp_norm,
     low_frequency_fraction,
     op_D,

@@ -3,13 +3,16 @@ import pytest
 
 from zakharov4d.grid import (
     RadialField,
+    RadialGrid,
     SPECTRAL,
     apply_multiplier,
     field,
     lp_norm,
     make_grid,
+    op_D,
     transform,
 )
+from zakharov4d.dyadic import spacetime_norm_X
 from zakharov4d.dynamics import (
     BLOWUP_LIKE,
     CSV_COLUMNS,
@@ -84,6 +87,19 @@ class TestStep:
         for _ in range(50):
             s = step(s, cfg)
         for _ in range(50):
+            s = step(s, cfg, dt=-0.02)
+        assert lp_norm(s.u - state.u, 2) / lp_norm(state.u, 2) < 1e-10
+        assert lp_norm(s.N - state.N, 2) / lp_norm(state.N, 2) < 1e-10
+
+    def test_reversibility_with_sponge(self, grid_small):
+        # the sponge damps on both sides of the nonlinear substep, so a
+        # step with -dt undoes a step with dt
+        state = gaussian_state(grid_small)
+        cfg = IntegratorConfig(dt=0.02, mode=LINEAR_POTENTIAL, sponge=True)
+        s = state
+        for _ in range(20):
+            s = step(s, cfg)
+        for _ in range(20):
             s = step(s, cfg, dt=-0.02)
         assert lp_norm(s.u - state.u, 2) / lp_norm(state.u, 2) < 1e-10
         assert lp_norm(s.N - state.N, 2) / lp_norm(state.N, 2) < 1e-10
@@ -164,6 +180,56 @@ class TestRun:
             if rep.energy_Z < ES_W_EXACT:
                 sides.add(rep.classification)
         assert len(sides) == 1
+
+
+def strang_reference(state, dt, steps):
+    """Strang steps built from apply_multiplier substeps, physical between."""
+    grid = state.grid
+    half_u = np.exp(0.5j * dt * grid.rho_nodes**2)
+    half_N = np.exp(0.5j * dt * grid.rho_nodes)
+    u, N = state.u, state.N
+    for _ in range(steps):
+        u, N = apply_multiplier(u, half_u), apply_multiplier(N, half_N)
+        phase = np.exp(-1j * dt * N.values.real)
+        N = N - (1j * dt) * op_D(RadialField(grid, np.abs(u.values) ** 2))
+        u = RadialField(grid, u.values * phase)
+        u, N = apply_multiplier(u, half_u), apply_multiplier(N, half_N)
+    return u, N
+
+
+class TestKernelPasses:
+    def count_passes(self, monkeypatch):
+        calls = []
+        original = RadialGrid._kernel_apply
+
+        def counted(grid, columns):
+            calls.append(columns.shape)
+            return original(grid, columns)
+
+        monkeypatch.setattr(RadialGrid, "_kernel_apply", counted)
+        return calls
+
+    def test_passes_per_step_and_reference(self, grid_small, monkeypatch):
+        dt, steps = 2.0**-6, 50          # dt * steps is exact in binary
+        calls = self.count_passes(monkeypatch)
+        limits = {FULL: 2, LINEAR_POTENTIAL: 2, FREE: 0}
+        for mode, limit in limits.items():
+            state = gaussian_state(grid_small, au=0.8, aN=0.6)
+            cfg = IntegratorConfig(dt=dt, mode=mode, monitor_every=10**6)
+            calls.clear()
+            log = run(state, cfg, dt * steps)
+            # one pass loads the state, one brings it back for the final
+            # monitor; the steps in between stay spectral
+            assert len(log.times) == 2
+            assert len(calls) - 2 <= limit * steps, mode
+            if mode == FULL:
+                final = log.final_state
+        monkeypatch.undo()
+        ref_u, ref_N = strang_reference(
+            gaussian_state(grid_small, au=0.8, aN=0.6), dt, steps)
+        assert lp_norm(final.u - ref_u, 2) / lp_norm(ref_u, 2) < 1e-10
+        assert lp_norm(final.N - ref_N, 2) / lp_norm(ref_N, 2) < 1e-10
+        assert final.t == dt * steps
 
 
 class TestGroundStateOrbit:
@@ -258,6 +324,31 @@ class TestStrichartzProbe:
         # endpoint Strichartz: the ratio has already plateaued
         assert est.max_ratio[2] < 1.01 * est.max_ratio[1]
         assert est.max_ratio[2] < 3.0
+
+    def test_matches_per_member_reference(self, grid_small):
+        family = {"kind": "gaussian_mass", "mass": 2.0, "width": 2.0}
+        delta, members, horizons, dt = 0.2, 3, [1.0, 2.0, 4.0], 0.05
+        est = strichartz_probe(grid_small, family, delta, members, horizons,
+                               np.random.default_rng(5), dt=dt)
+
+        rng = np.random.default_rng(5)
+        V0 = potential_from_family(grid_small, family, rng)
+        cfg = IntegratorConfig(dt=dt, mode=LINEAR_POTENTIAL, store_every=5)
+        worst = np.zeros(len(horizons))
+        for _ in range(members):
+            u0 = band_limited_unit_field(grid_small, rng)
+            traj = run(ZakharovState(u0, V0), cfg, horizons[-1]).traj_u
+            for i, T in enumerate(horizons):
+                worst[i] = max(worst[i], spacetime_norm_X(
+                    traj.restricted(0.0, T), delta))
+        # t accumulates as t += dt: the samples nearest T = 1 and T = 2 land
+        # just past them and are left out, the one nearest T = 4 is kept
+        times = traj.times
+        for T, kept in ((1.0, False), (2.0, False), (4.0, True)):
+            near = times[np.abs(times - T) < 1e-9]
+            assert len(near) == 1 and near[0] != T
+            assert (near[0] <= T) == kept
+        np.testing.assert_allclose(est.max_ratio, worst, rtol=1e-9)
 
     def test_potential_families(self, grid_small):
         V = potential_from_family(grid_small, {"kind": "gaussian_mass",

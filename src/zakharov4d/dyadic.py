@@ -9,7 +9,7 @@ covered band is reported, never silently dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,11 +18,10 @@ from .grid import (
     PHYSICAL,
     RadialField,
     RadialGrid,
-    SPECTRAL,
     SPHERE_S3,
     FOURIER_NORM,
+    apply_multiplier,
     to_spectral,
-    transform,
 )
 
 DELTA_STAR = 3.0 / 7.0  # (d-1)/(2d-1) at d = 4
@@ -43,42 +42,23 @@ def chi0(x: np.ndarray) -> np.ndarray:
     return bump_profile(x) - bump_profile(2.0 * np.asarray(x, dtype=float))
 
 
-@dataclass(frozen=True)
-class DyadicCutoff:
-    """Dyadic range 2^[kmin, kmax] resolvable on a grid, with profile chi0."""
-
-    j_min: float
-    j_max: float
-
-    @classmethod
-    def for_grid(cls, grid: RadialGrid) -> "DyadicCutoff":
-        rho_min, rho_max = grid.rho_nodes[0], grid.rho_nodes[-1]
-        # keep every j whose annulus (j/2, 2j) meets [rho_min, rho_max]
-        kmin = int(np.floor(np.log2(rho_min)))
-        kmax = int(np.ceil(np.log2(rho_max)))
-        return cls(2.0**kmin, 2.0**kmax)
-
-    def blocks(self) -> np.ndarray:
-        kmin = int(round(np.log2(self.j_min)))
-        kmax = int(round(np.log2(self.j_max)))
-        return 2.0 ** np.arange(kmin, kmax + 1)
+def block_sum(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Sum of chi0(x/j) over the dyadic blocks lo <= j <= hi (lo <= hi),
+    telescoped to bump(x/hi) - bump(2x/lo); supported in (lo/2, 2 hi)."""
+    x = np.asarray(x, dtype=float)
+    return bump_profile(x / hi) - bump_profile(2.0 * x / lo)
 
 
 def dyadic_blocks(grid: RadialGrid) -> np.ndarray:
-    return DyadicCutoff.for_grid(grid).blocks()
+    """Blocks 2^k whose annulus (j/2, 2j) meets [rho_min, rho_max]."""
+    kmin = int(np.floor(np.log2(grid.rho_nodes[0])))
+    kmax = int(np.ceil(np.log2(grid.rho_nodes[-1])))
+    return 2.0 ** np.arange(kmin, kmax + 1)
 
 
 def lp_project(f: RadialField, j: float) -> RadialField:
     """P_j f = F^{-1}[chi0(rho/j) F f]; returns f's incoming space."""
-    spec = to_spectral(f)
-    cut = chi0(f.grid.rho_nodes / j)
-    out = RadialField(f.grid, spec.values * cut, SPECTRAL)
-    return out if f.space == SPECTRAL else transform(out)
-
-
-def lp_project_spectral(spec_values: np.ndarray, grid: RadialGrid,
-                        j: float) -> np.ndarray:
-    return spec_values * chi0(grid.rho_nodes / j)
+    return apply_multiplier(f, chi0(f.grid.rho_nodes / j))
 
 
 def coverage_defect(f: RadialField) -> float:
@@ -92,10 +72,9 @@ def coverage_defect(f: RadialField) -> float:
 
 
 def chi_partition_sum(grid: RadialGrid) -> np.ndarray:
-    """Sum of chi0(rho/j) over the grid's dyadic range (telescopes)."""
+    """Sum of chi0(rho/j) over the grid's dyadic range."""
     blocks = dyadic_blocks(grid)
-    rho = grid.rho_nodes
-    return bump_profile(rho / blocks[-1]) - bump_profile(2.0 * rho / blocks[0])
+    return block_sum(grid.rho_nodes, blocks[0], blocks[-1])
 
 
 def besov_norm(f: RadialField, s: float, p: float, q: float) -> float:
@@ -128,10 +107,6 @@ class FrequencyWeight:
 
     beta: float
     scales: tuple
-    separation: float = dc_field(init=False, default=0.0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "separation", _separation(self.scales))
 
     def __call__(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -166,14 +141,6 @@ class FrequencyWeight:
         return out[0] if scalar else out
 
 
-def _separation(scales) -> float:
-    S = np.asarray(scales, dtype=float)
-    if len(S) < 2:
-        return np.inf
-    ratios = S[1:] / S[:-1]
-    return float(ratios.min())
-
-
 def build_weight(beta: float, scales) -> FrequencyWeight:
     """Validate (beta, S) and build the adapted weight.
 
@@ -199,12 +166,9 @@ def build_weight(beta: float, scales) -> FrequencyWeight:
 
 def weight_multiplier(f: RadialField, w: FrequencyWeight, s: float) -> RadialField:
     """sum_j w(j)^s P_j f over the grid's dyadic range."""
-    spec = to_spectral(f)
-    acc = np.zeros(f.grid.n, dtype=np.complex128)
-    for j in dyadic_blocks(f.grid):
-        acc += w(j) ** s * lp_project_spectral(spec.values, f.grid, j)
-    out = RadialField(f.grid, acc, SPECTRAL)
-    return out if f.space == SPECTRAL else transform(out)
+    rho = f.grid.rho_nodes
+    return apply_multiplier(f, sum(w(j) ** s * chi0(rho / j)
+                                   for j in dyadic_blocks(f.grid)))
 
 
 # -- trajectories and space-time norms ---------------------------------------

@@ -94,9 +94,7 @@ class RadialGrid:
         self._scale_r = self.r_nodes * r_max / absJ0
         self._scale_rho = self.rho_nodes * self.rho_max / (FOURIER_NORM * absJ0)
 
-        self._deriv_matrix = None
-        self._deriv2_matrix = None
-        self._deriv1w_matrix = None
+        self._fd_matrices = {}
         for arr in (self.r_nodes, self.rho_nodes, self.transform_kernel,
                     self.quad_weights_r, self.quad_weights_rho,
                     self._scale_r, self._scale_rho):
@@ -146,29 +144,27 @@ class RadialGrid:
         machinery, where FD beats term-by-term J_1-series differentiation
         at the target accuracy.
         """
-        if self._deriv_matrix is None:
-            self._deriv_matrix = _fornberg_matrix(self.r_nodes, order=1,
-                                                  width=5)
-            self._deriv_matrix.setflags(write=False)
-        return self._deriv_matrix
+        return self._fd_matrix(order=1, width=5)
 
     def second_derivative_matrix(self) -> np.ndarray:
         """Finite-difference d^2/dr^2 from 9-point stencils (even-folded at
         the origin).  Local alternative to the spectral Laplacian for
         weights with slowly decaying tails."""
-        if self._deriv2_matrix is None:
-            self._deriv2_matrix = _fornberg_matrix(self.r_nodes, order=2,
-                                                   width=9)
-            self._deriv2_matrix.setflags(write=False)
-        return self._deriv2_matrix
+        return self._fd_matrix(order=2, width=9)
 
     def wide_derivative_matrix(self) -> np.ndarray:
         """9-point d/dr companion of second_derivative_matrix."""
-        if self._deriv1w_matrix is None:
-            self._deriv1w_matrix = _fornberg_matrix(self.r_nodes, order=1,
-                                                    width=9)
-            self._deriv1w_matrix.setflags(write=False)
-        return self._deriv1w_matrix
+        return self._fd_matrix(order=1, width=9)
+
+    def _fd_matrix(self, order: int, width: int) -> np.ndarray:
+        """Read-only Fornberg matrix, built on first use and cached by
+        (order, width)."""
+        D = self._fd_matrices.get((order, width))
+        if D is None:
+            D = _fornberg_matrix(self.r_nodes, order=order, width=width)
+            D.setflags(write=False)
+            self._fd_matrices[(order, width)] = D
+        return D
 
     def interior_mask(self, fraction: float = 0.5) -> np.ndarray:
         """Nodes with r < fraction * r_max, clear of boundary reflection."""

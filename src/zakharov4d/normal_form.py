@@ -6,7 +6,11 @@ resonant denominators
     omega_pm:    |xi|^2 -+ |xi - eta| - |eta|^2   ~  j^2,
     omega_tilde: |xi| - |xi - eta|^2 + |eta|^2    ~  1 + j^2 + k^2,
 
-bounded away from zero, which is what buys the two-derivative gain.  Kernels
+bounded away from zero, which is what buys the two-derivative gain.  `_hl`
+is the one test of HL membership.  The blocks k paired with a block j, in HL
+and in the high-high rest HH alike, form one contiguous run lo <= k <= hi;
+`_block_ranges` lists these (j, lo, hi), and the products and the kernels
+cut the k side with the telescoped `dyadic.block_sum(rho, lo, hi)`.  Kernels
 are evaluated by direct quadrature (grid nodes in |eta| times a Chebyshev
 rule in the angle), preserving radial exactness at O(n^2 n_theta) cost.
 
@@ -33,7 +37,7 @@ from .grid import (
     transform,
     zero_field,
 )
-from .dyadic import chi0, dyadic_blocks
+from .dyadic import block_sum, chi0, dyadic_blocks
 
 OMEGA_PLUS = "omega_plus"
 OMEGA_MINUS = "omega_minus"
@@ -80,41 +84,62 @@ class AngularQuadrature:
 # -- dyadic pair restrictions -------------------------------------------------
 
 
+def _hl(j: float, k: float, iota: float) -> bool:
+    """(j, k) lies in HL_iota."""
+    return iota * j >= max(k, 2.0)
+
+
+def _block_ranges(grid: RadialGrid, keep) -> list:
+    """(j, lo, hi) for each grid block j with a partner block k, keep(j, k);
+    the partners are the contiguous run of blocks lo <= k <= hi."""
+    blocks = dyadic_blocks(grid)
+    out = []
+    for j in blocks:
+        ks = [k for k in blocks if keep(j, k)]
+        if ks:
+            out.append((float(j), float(ks[0]), float(ks[-1])))
+    return out
+
+
 def hl_pairs(grid: RadialGrid, iota: float):
     """Dyadic pairs (j, k) in the grid's range with iota*j >= max(k, 2)."""
     _check_iota(iota)
     blocks = dyadic_blocks(grid)
     return [(float(j), float(k)) for j in blocks for k in blocks
-            if iota * j >= max(k, 2.0)]
+            if _hl(j, k, iota)]
 
 
-def hl_product(f: RadialField, g: RadialField, iota: float) -> RadialField:
-    """(f, g)_{HL_iota} = sum over HL pairs of P_j f * P_k g (pointwise)."""
-    _check_iota(iota)
+def _block_product(f: RadialField, g: RadialField, ranges) -> RadialField:
+    """sum over (j, lo, hi) in ranges of P_j f * P_[lo,hi] g (pointwise).
+
+    Pieces carrying at most LIVE_BLOCK_RTOL of their factor's peak are
+    skipped; the live ones go to physical space in one kernel pass.
+    """
     grid = f.grid
     fs = to_spectral(f).values
     gs = to_spectral(g).values
     rho = grid.rho_nodes
     f_scale = np.abs(fs).max() or 1.0
     g_scale = np.abs(gs).max() or 1.0
-    out = np.zeros(grid.n, dtype=np.complex128)
-    for j in dyadic_blocks(grid):
-        if iota * j < 2.0:
-            continue
+    pieces = []
+    for j, lo, hi in ranges:
         fj = fs * chi0(rho / j)
-        if np.abs(fj).max() <= LIVE_BLOCK_RTOL * f_scale:
-            continue
-        low = np.zeros(grid.n)
-        for k in dyadic_blocks(grid):
-            if iota * j >= max(k, 2.0):
-                low += chi0(rho / k)
-        gk = gs * low
-        if np.abs(gk).max() <= LIVE_BLOCK_RTOL * g_scale:
-            continue
-        fj_phys = grid.to_physical_values(fj)
-        gk_phys = grid.to_physical_values(gk)
-        out += fj_phys * gk_phys
-    return RadialField(grid, out, PHYSICAL)
+        gk = gs * block_sum(rho, lo, hi)
+        if (np.abs(fj).max() > LIVE_BLOCK_RTOL * f_scale
+                and np.abs(gk).max() > LIVE_BLOCK_RTOL * g_scale):
+            pieces += [fj, gk]
+    if not pieces:
+        return zero_field(grid)
+    phys = grid.to_physical_values(np.column_stack(pieces))
+    return RadialField(grid, np.sum(phys[:, 0::2] * phys[:, 1::2], axis=1),
+                       PHYSICAL)
+
+
+def hl_product(f: RadialField, g: RadialField, iota: float) -> RadialField:
+    """(f, g)_{HL_iota} = sum over HL pairs of P_j f * P_k g (pointwise)."""
+    _check_iota(iota)
+    return _block_product(f, g, _block_ranges(
+        f.grid, lambda j, k: _hl(j, k, iota)))
 
 
 def lh_product(f: RadialField, g: RadialField, iota: float) -> RadialField:
@@ -127,27 +152,8 @@ def lh_product(f: RadialField, g: RadialField, iota: float) -> RadialField:
 def hh_product(f: RadialField, g: RadialField, iota: float) -> RadialField:
     """Pairs with neither (j,k) nor (k,j) in HL_iota."""
     _check_iota(iota)
-    grid = f.grid
-    fs = to_spectral(f).values
-    gs = to_spectral(g).values
-    rho = grid.rho_nodes
-    f_scale = np.abs(fs).max() or 1.0
-    g_scale = np.abs(gs).max() or 1.0
-    out = np.zeros(grid.n, dtype=np.complex128)
-    for j in dyadic_blocks(grid):
-        fj = fs * chi0(rho / j)
-        if np.abs(fj).max() <= LIVE_BLOCK_RTOL * f_scale:
-            continue
-        low = np.zeros(grid.n)
-        for k in dyadic_blocks(grid):
-            if iota * j >= max(k, 2.0) or iota * k >= max(j, 2.0):
-                continue
-            low += chi0(rho / k)
-        gk = gs * low
-        if np.abs(gk).max() <= LIVE_BLOCK_RTOL * g_scale:
-            continue
-        out += grid.to_physical_values(fj) * grid.to_physical_values(gk)
-    return RadialField(grid, out, PHYSICAL)
+    return _block_product(f, g, _block_ranges(
+        f.grid, lambda j, k: not (_hl(j, k, iota) or _hl(k, j, iota))))
 
 
 # -- kernel specifications ----------------------------------------------------
@@ -188,12 +194,6 @@ def _interp_complex(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray
     return re + 1j * im
 
 
-def _low_mask(x: np.ndarray, lam: float, mu: float) -> np.ndarray:
-    """Telescoped sum of chi0(x/l) over grid blocks mu <= l <= lam."""
-    from .dyadic import bump_profile
-    return bump_profile(x / lam) - bump_profile(2.0 * x / mu)
-
-
 _OUT_CHUNK = 96
 
 
@@ -205,65 +205,47 @@ def apply_bilinear(spec: BilinearKernelSpec, f: RadialField, g: RadialField,
         (2 pi)^{-4} sum_{(k,l)} int f_k(|xi-eta|) g_l(|eta|) / den  d eta
     with the eta integral reduced to grid quadrature in sigma = |eta| and a
     Chebyshev rule in cos(theta).  The denominator is pair-independent, so
-    the low-frequency side is telescoped into one bump-profile mask per
-    high block instead of looping over individual (k, l) pairs.
+    the low-frequency side is telescoped into one block_sum cutoff per high
+    block instead of looping over individual (k, l) pairs.
     """
     quad = quad or AngularQuadrature()
     grid = f.grid
     fs = to_spectral(f).values
     gs = to_spectral(g).values
-    f_scale = np.abs(fs).max()
-    g_scale = np.abs(gs).max()
-    if f_scale == 0.0 or g_scale == 0.0:
+    if not (np.any(fs) and np.any(gs)):
         return zero_field(grid)
 
-    blocks = dyadic_blocks(grid)
-    mu = blocks[0]
-    iota = spec.iota
     out_spec = np.zeros(grid.n, dtype=np.complex128)
-
-    def high_blocks_with_lam():
-        for k in blocks:
-            if iota * k < 2.0:
-                continue
-            lows = blocks[blocks <= iota * k]
-            if lows.size:
-                yield float(k), float(lows[-1])
-
-    rho = grid.rho_nodes
-    for k, lam in high_blocks_with_lam():
-        # f carries the high block k, g the telescoped lows
-        if np.abs(fs * chi0(rho / k)).max() > LIVE_BLOCK_RTOL * f_scale:
-            f_cut = lambda tau, k=k: chi0(tau / k)
-            g_vals = gs * _low_mask(rho, lam, mu)
-            _accumulate(spec, grid, quad, out_spec, fs, g_vals,
-                        g_scale, f_cut, tau_lo=k / 2.0, tau_hi=2.0 * k,
-                        sigma_hi=2.0 * lam, label=f"k={k:g}")
-        if spec.kind == OMEGA_TILDE and (
-                np.abs(fs * _low_mask(rho, lam, mu)).max()
-                > LIVE_BLOCK_RTOL * f_scale):
-            # mirrored pairs (l, k): g carries the high block, f the lows
-            f_cut = lambda tau, lam=lam: _low_mask(tau, lam, mu)
-            g_vals = gs * chi0(rho / k)
-            _accumulate(spec, grid, quad, out_spec, fs, g_vals,
-                        g_scale, f_cut, tau_lo=0.0, tau_hi=2.0 * lam,
-                        sigma_hi=2.0 * k, label=f"l={k:g} (mirrored)")
+    sides = []
+    for j, lo, hi in _block_ranges(grid, lambda j, k: _hl(j, k, spec.iota)):
+        # f carries the high block j, g the telescoped lows
+        sides.append(((j, j), (lo, hi)))
+        if spec.kind == OMEGA_TILDE:
+            # mirrored pairs (k, j): g carries the high block, f the lows
+            sides.append(((lo, hi), (j, j)))
+    for f_range, g_range in sides:
+        _accumulate(spec, grid, quad, out_spec, fs, gs, f_range, g_range)
 
     out_spec *= FOURIER_NORM**-2                        # (2 pi)^{-4}
     return transform(RadialField(grid, out_spec, SPECTRAL))
 
 
-def _accumulate(spec, grid, quad, out_spec, fs, g_vals, g_scale, f_cut,
-                tau_lo, tau_hi, sigma_hi, label):
+def _accumulate(spec, grid, quad, out_spec, fs, gs, f_range, g_range):
+    """Add the pairs of f's blocks f_range = (lo, hi) with g's blocks
+    g_range to out_spec, skipping a side below LIVE_BLOCK_RTOL."""
     rho = grid.rho_nodes
-    live = np.nonzero(np.abs(g_vals) > LIVE_BLOCK_RTOL * g_scale)[0]
+    if (np.abs(fs * block_sum(rho, *f_range)).max()
+            <= LIVE_BLOCK_RTOL * np.abs(fs).max()):
+        return
+    g_vals = gs * block_sum(rho, *g_range)
+    live = np.nonzero(np.abs(g_vals) > LIVE_BLOCK_RTOL * np.abs(gs).max())[0]
     if live.size == 0:
         return
     sigma = rho[live]
     g_w = g_vals[live] * grid.quad_weights_rho[live]
-    # triangle inequality window for |xi| given the tau and sigma supports
-    lo = max(tau_lo - sigma_hi, rho[0])
-    hi = min(tau_hi + sigma_hi, rho[-1])
+    # triangle inequality window for |xi| given the supports (lo/2, 2 hi)
+    lo = max(f_range[0] / 2.0 - 2.0 * g_range[1], rho[0])
+    hi = min(2.0 * f_range[1] + 2.0 * g_range[1], rho[-1])
     sel = np.nonzero((rho >= lo) & (rho <= hi))[0]
     if sel.size == 0:
         return
@@ -275,7 +257,7 @@ def _accumulate(spec, grid, quad, out_spec, fs, g_vals, g_scale, f_cut,
         ss = sigma[None, :, None]
         cc = c[None, None, :]
         tau = np.sqrt(np.maximum(rr**2 + ss**2 - 2.0 * rr * ss * cc, 0.0))
-        cut = f_cut(tau)
+        cut = block_sum(tau, *f_range)
         mask = cut > 0
         if not np.any(mask):
             continue
@@ -285,7 +267,7 @@ def _accumulate(spec, grid, quad, out_spec, fs, g_vals, g_scale, f_cut,
         if np.abs(den[mask]).min() < DENOMINATOR_FLOOR:
             raise KernelError(
                 f"{spec.kind} denominator vanished on restricted support "
-                f"({label})")
+                f"(f blocks {f_range}, g blocks {g_range})")
         integrand = np.where(mask, fk_tau / np.where(mask, den, 1.0), 0.0)
         angular = integrand @ wc                       # -> (chunk, n_sigma)
         out_spec[idx] += 4.0 * np.pi * (angular @ g_w)

@@ -7,7 +7,6 @@ from zakharov4d.grid import (
     SPECTRAL,
     field,
     lp_norm,
-    make_grid,
     to_spectral,
     transform,
     zero_field,

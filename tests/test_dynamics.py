@@ -4,13 +4,11 @@ import pytest
 from zakharov4d.grid import (
     RadialField,
     RadialGrid,
-    SPECTRAL,
     apply_multiplier,
     field,
     lp_norm,
     make_grid,
     op_D,
-    transform,
 )
 from zakharov4d.dyadic import spacetime_norm_X
 from zakharov4d.dynamics import (

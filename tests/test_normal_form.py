@@ -5,7 +5,6 @@ from scipy import integrate
 from zakharov4d.grid import (
     RadialField,
     SPECTRAL,
-    field,
     lp_norm,
     make_grid,
     op_D,
@@ -14,11 +13,10 @@ from zakharov4d.grid import (
     transform,
     zero_field,
 )
-from zakharov4d.dyadic import chi0, dyadic_blocks
+from zakharov4d.dyadic import chi0
 from zakharov4d.normal_form import (
     AngularQuadrature,
     BilinearKernelSpec,
-    KernelError,
     NonContractionError,
     OMEGA_MINUS,
     OMEGA_PLUS,
@@ -87,6 +85,11 @@ class TestPairRestrictions:
         prod = RadialField(g, to_physical(f1).values * to_physical(f2).values)
         total = hl_product(f1, f2, 1 / 8) + lh_product(f1, f2, 1 / 8)
         assert rel_l2(total, prod) < 1e-9
+        # HL, its mirror and HH partition all block pairs
+        for iota in (1 / 2, 1 / 4, 1 / 8):
+            parts = (hl_product(f1, f2, iota) + hl_product(f2, f1, iota)
+                     + hh_product(f1, f2, iota))
+            assert rel_l2(parts, prod) < 1e-10
 
     def test_empty_restriction(self, kgrid):
         # both factors in [1,2]: no pair satisfies iota*j >= max(k,2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zakharov4d.grid import RadialField, field, lp_norm, make_grid
+from zakharov4d.grid import RadialField, field, lp_norm
 from zakharov4d.variational import (
     ABOVE_THRESHOLD,
     BLOWUP_SIDE,

@@ -267,7 +267,7 @@ class TestLeadingTermBound:
     def test_below_threshold_monotonicity(self, smooth_run):
         # V-dot_inf(u f0_R, nu f0_R) >= 2 C_S^2 eps |u f0_R|_4^2
         #                                + |nu f0_R|_2^2 - tolerance
-        from zakharov4d.variational import ES_W_EXACT, nls_energy, functionals
+        from zakharov4d.variational import ES_W_EXACT, functionals
         g, log = smooth_run
         w = VirialWeights(g, 10.0)
         cs_sq = 1.0 / np.sqrt(W4_4_EXACT)

@@ -2,12 +2,13 @@
 
 One Strang step is
 
-    half linear:  u <- e^{-i (dt/2) Lap} u,   N <- e^{i alpha (dt/2) D} N
+    half linear:  u <- e^{-i (dt/2) Lap} u,   N <- e^{i (dt/2) D} N
     nonlinear:    N <- N - i dt D|u|^2,       u <- e^{-i dt Re N} u
     half linear again,
 
-where the nonlinear substep is exact: |u| is constant during it, so D|u|^2
-is a constant real field and Re N never changes while the source is added.
+at unit wave speed, as `decompose_N` and the Omega_tilde denominator assume.
+The nonlinear substep is exact: |u| is constant during it, so D|u|^2 is a
+constant real field and Re N never changes while the source is added.
 Every substep is a unitary spectral multiplier or a pointwise phase
 rotation, which is what keeps the mass drift at transform roundoff over
 10^4 steps.
@@ -47,10 +48,13 @@ from .grid import (
     RadialGrid,
     SPECTRAL,
     SPHERE_S3,
+    apply_multiplier,
     gradient_norm_sq,
     lp_norm,
+    op_D,
     smooth_transition,
     to_physical,
+    transform,
 )
 from .dyadic import (
     TrajectorySamples,
@@ -60,7 +64,8 @@ from .dyadic import (
     xdelta_exponents,
     xdelta_from_profile,
 )
-from .variational import nehari_K, zakharov_energy
+from .normal_form import omega_tilde
+from .variational import nehari_K, w_profile, zakharov_energy
 
 FULL = "full"
 LINEAR_POTENTIAL = "linear_potential"
@@ -97,7 +102,6 @@ class ZakharovState:
 class IntegratorConfig:
     dt: float = 1e-3
     mode: str = FULL
-    alpha: float = 1.0               # wave speed multiplier e^{i alpha t D}
     adaptive: bool = False
     dt_floor: float = 1e-7
     drift_tol: float = 1e-5          # per-step relative E_Z drift triggering a halving
@@ -178,7 +182,7 @@ class _Propagator:
             return
         rho = self.grid.rho_nodes[:, None]
         self._ph_u = np.exp(0.5j * dt * rho**2)
-        self._ph_N = np.exp(0.5j * self.cfg.alpha * dt * rho)
+        self._ph_N = np.exp(0.5j * dt * rho)
         self._half_damp = (None if self.sponge_profile is None else
                            np.exp(-0.5 * dt * self.sponge_profile)[:, None])
         self._dt = dt
@@ -379,8 +383,6 @@ def decompose_N(traj_u: TrajectorySamples, traj_N: TrajectorySamples,
     N_N(t) = D Omega_tilde_iota(u, conj u); N_F propagates N(0) - N_N(0) by
     the free half-wave flow; N_D is the remainder (the Duhamel content).
     """
-    from .grid import apply_multiplier, op_D
-    from .normal_form import omega_tilde
     if not np.array_equal(traj_u.times, traj_N.times):
         raise ValueError("u and N trajectories must share sample times")
     grid = traj_u.grid
@@ -411,7 +413,6 @@ def decompose_N(traj_u: TrajectorySamples, traj_N: TrajectorySamples,
 def band_limited_unit_field(grid: RadialGrid, rng: np.random.Generator,
                             band=(0.2, 0.55)) -> RadialField:
     """Random band-limited field normalized to unit L^2."""
-    from .grid import SPECTRAL, transform
     spec = np.zeros(grid.n, dtype=complex)
     i0, i1 = int(band[0] * grid.n), int(band[1] * grid.n)
     spec[i0:i1] = (rng.standard_normal(i1 - i0)
@@ -438,7 +439,6 @@ def potential_from_family(grid: RadialGrid, family: dict,
         return (target / lp_norm(f, 2)) * f
     if kind == "ground_state_squared":
         lam = family.get("lam", 1.0)
-        from .variational import w_profile
         vals = (lam * w_profile(lam * grid.r_nodes)) ** 2
         return RadialField(grid, vals.astype(complex))
     raise ValueError(f"unknown potential family {kind!r}")
@@ -453,8 +453,7 @@ class ProbeEstimate:
 
 def strichartz_probe(grid: RadialGrid, family: dict, delta: float,
                      ensemble_size: int, horizons, rng: np.random.Generator,
-                     dt: float = 0.02, alpha: float = 1.0,
-                     store_every: int = 5) -> ProbeEstimate:
+                     dt: float = 0.02, store_every: int = 5) -> ProbeEstimate:
     """Empirical X~^delta / L^2 ratio growth profile.
 
     Evolves random unit-L^2 band-limited data under
@@ -475,8 +474,7 @@ def strichartz_probe(grid: RadialGrid, family: dict, delta: float,
     V0 = potential_from_family(grid, family, rng)
     members = [band_limited_unit_field(grid, rng).values
                for _ in range(ensemble_size)]
-    prop = _Propagator(grid, IntegratorConfig(dt=dt, mode=LINEAR_POTENTIAL,
-                                              alpha=alpha))
+    prop = _Propagator(grid, IntegratorConfig(dt=dt, mode=LINEAR_POTENTIAL))
     u, V = prop.load(np.column_stack(members), V0.values)
     blocks = dyadic_blocks(grid)
 

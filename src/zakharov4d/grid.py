@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
+from scipy import sparse, special
 
 # Surface measure of the unit sphere S^3; integrals over R^4 of radial
 # functions are 2 pi^2 * integral f(r) r^3 dr.
@@ -137,7 +137,7 @@ class RadialGrid:
 
     # -- radial derivative --------------------------------------------------
 
-    def derivative_matrix(self) -> np.ndarray:
+    def derivative_matrix(self) -> sparse.csr_array:
         """4th-order finite-difference d/dr on the (nearly uniform) r nodes.
 
         Built lazily from 5-point Fornberg stencils; used by the virial
@@ -146,23 +146,23 @@ class RadialGrid:
         """
         return self._fd_matrix(order=1, width=5)
 
-    def second_derivative_matrix(self) -> np.ndarray:
+    def second_derivative_matrix(self) -> sparse.csr_array:
         """Finite-difference d^2/dr^2 from 9-point stencils (even-folded at
         the origin).  Local alternative to the spectral Laplacian for
         weights with slowly decaying tails."""
         return self._fd_matrix(order=2, width=9)
 
-    def wide_derivative_matrix(self) -> np.ndarray:
+    def wide_derivative_matrix(self) -> sparse.csr_array:
         """9-point d/dr companion of second_derivative_matrix."""
         return self._fd_matrix(order=1, width=9)
 
-    def _fd_matrix(self, order: int, width: int) -> np.ndarray:
-        """Read-only Fornberg matrix, built on first use and cached by
-        (order, width)."""
+    def _fd_matrix(self, order: int, width: int) -> sparse.csr_array:
+        """Read-only banded Fornberg matrix, cached by (order, width)."""
         D = self._fd_matrices.get((order, width))
         if D is None:
             D = _fornberg_matrix(self.r_nodes, order=order, width=width)
-            D.setflags(write=False)
+            for arr in (D.data, D.indices, D.indptr):
+                arr.setflags(write=False)
             self._fd_matrices[(order, width)] = D
         return D
 
@@ -177,18 +177,19 @@ def make_grid(n: int, r_max: float) -> RadialGrid:
     return RadialGrid(n, r_max)
 
 
-def _fornberg_weights(x0: float, nodes: np.ndarray, order: int) -> np.ndarray:
-    """Fornberg weights for the `order`-th derivative at x0 from `nodes`."""
-    m = len(nodes)
-    c = np.zeros((m, order + 1))
-    c1, c4 = 1.0, nodes[0] - x0
+def _fornberg_weights(x0: np.ndarray, nodes: np.ndarray, order: int) -> np.ndarray:
+    """Fornberg weights for the `order`-th derivative at each x0[i] from the
+    stencil nodes[i]: x0 (n,), nodes (n, m) -> weights (n, m)."""
+    n, m = nodes.shape
+    c = np.zeros((m, order + 1, n))
+    c1, c4 = 1.0, nodes[:, 0] - x0
     c[0, 0] = 1.0
     for i in range(1, m):
         mn = min(i, order)
-        c2, c5, c4 = 1.0, c4, nodes[i] - x0
+        c2, c5, c4 = 1.0, c4, nodes[:, i] - x0
         for j in range(i):
-            c3 = nodes[i] - nodes[j]
-            c2 *= c3
+            c3 = nodes[:, i] - nodes[:, j]
+            c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
                     c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
@@ -197,34 +198,26 @@ def _fornberg_weights(x0: float, nodes: np.ndarray, order: int) -> np.ndarray:
                 c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
             c[j, 0] = c4 * c[j, 0] / c3
         c1 = c2
-    return c[:, order]
+    return c[:, order].T
 
 
-def _fornberg_matrix(x: np.ndarray, order: int, width: int) -> np.ndarray:
-    """Dense derivative matrix from sliding Fornberg stencils.
+def _fornberg_matrix(x: np.ndarray, order: int, width: int) -> sparse.csr_array:
+    """Banded derivative matrix from sliding Fornberg stencils.
 
-    Smooth radial functions are even in r, so stencils near the origin fold
-    across r = 0 (ghost nodes at -x_k carry the same value), keeping centered
-    accuracy down to the first node.  The right edge stays one-sided.
+    Row i's stencil is the signed index run k = start + arange(width), with
+    start = min(i - width // 2, n - width); the wall rows are one-sided.
+    Smooth radial fields are even in r, so k < 0 is the ghost node -x_{-k-1}:
+    csr sums its weight into column -k-1, keeping the rows near r = 0 centered.
     """
     n = len(x)
     width = min(width, n)
-    D = np.zeros((n, n))
-    half = width // 2
-    for i in range(n):
-        lo = i - half
-        if lo < 0:
-            ghosts = -x[:(-lo)][::-1]
-            nodes = np.concatenate([ghosts, x[: width + lo]])
-            w = _fornberg_weights(x[i], nodes, order)
-            folded = w[-lo:width].copy()
-            folded[: -lo] += w[:(-lo)][::-1]
-            D[i, : width + lo] = folded
-        else:
-            lo = min(lo, n - width)
-            sl = slice(lo, lo + width)
-            D[i, sl] = _fornberg_weights(x[i], x[sl], order)
-    return D
+    i = np.arange(n)
+    k = np.minimum(i - width // 2, n - width)[:, None] + np.arange(width)
+    cols = np.where(k < 0, -k - 1, k)
+    nodes = np.where(k < 0, -x[cols], x[cols])
+    w = _fornberg_weights(x, nodes, order)
+    return sparse.csr_array((w.ravel(), (np.repeat(i, width), cols.ravel())),
+                            shape=(n, n))
 
 
 # -- fields -----------------------------------------------------------------

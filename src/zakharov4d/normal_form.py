@@ -32,6 +32,7 @@ from .grid import (
     RadialGrid,
     SPECTRAL,
     lp_norm,
+    op_D,
     to_physical,
     to_spectral,
     transform,
@@ -99,14 +100,6 @@ def _block_ranges(grid: RadialGrid, keep) -> list:
         if ks:
             out.append((float(j), float(ks[0]), float(ks[-1])))
     return out
-
-
-def hl_pairs(grid: RadialGrid, iota: float):
-    """Dyadic pairs (j, k) in the grid's range with iota*j >= max(k, 2)."""
-    _check_iota(iota)
-    blocks = dyadic_blocks(grid)
-    return [(float(j), float(k)) for j in blocks for k in blocks
-            if _hl(j, k, iota)]
 
 
 def _block_product(f: RadialField, g: RadialField, ranges) -> RadialField:
@@ -178,14 +171,6 @@ class BilinearKernelSpec:
         if self.kind == OMEGA_MINUS:
             return rho**2 + tau - sigma**2
         return rho - tau**2 + sigma**2
-
-    def pairs(self, grid: RadialGrid):
-        """(k, l) block pairs: f carries block k, g carries block l."""
-        base = hl_pairs(grid, self.iota)
-        if self.kind == OMEGA_TILDE:
-            sym = set(base) | {(l, k) for (k, l) in base}
-            return sorted(sym)
-        return base
 
 
 def _interp_complex(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
@@ -287,14 +272,18 @@ def omega_tilde(f: RadialField, g: RadialField, iota: float,
     return apply_bilinear(BilinearKernelSpec(OMEGA_TILDE, iota), f, g, quad)
 
 
+def _corrections(u, N, iota1, iota2, quad):
+    """(Omega_{iota1}(N, u), D Omega_tilde_{iota2}(u, conj u))."""
+    return (omega(N, u, iota1, quad),
+            op_D(omega_tilde(u, u.conj(), iota2, quad)))
+
+
 def normal_transform(u: RadialField, N: RadialField, iota1: float,
                      iota2: float, quad: AngularQuadrature | None = None):
     """Psi_{iota1,iota2}(u, N) = (u - Omega_{iota1}(N, u),
                                   N - D Omega_tilde_{iota2}(u, conj u))."""
-    from .grid import op_D
     u_p, N_p = to_physical(u), to_physical(N)
-    corr_u = omega(N_p, u_p, iota1, quad)
-    corr_N = op_D(omega_tilde(u_p, u_p.conj(), iota2, quad))
+    corr_u, corr_N = _corrections(u_p, N_p, iota1, iota2, quad)
     return (RadialField(u.grid, u_p.values - corr_u.values, PHYSICAL),
             RadialField(u.grid, N_p.values - corr_N.values, PHYSICAL))
 
@@ -314,15 +303,13 @@ def normal_inverse(u_t: RadialField, N_t: RadialField, iota1: float,
     Raises NonContractionError once the measured per-iteration contraction
     factor stays >= 1 for three consecutive iterations.
     """
-    from .grid import op_D
     u_t, N_t = to_physical(u_t), to_physical(N_t)
     phi, psi = u_t.copy(), N_t.copy()
     scale = max(lp_norm(u_t, 2) + lp_norm(N_t, 2), 1e-300)
     prev_inc = None
     bad_streak = 0
     for iteration in range(max_iter):
-        corr_u = omega(psi, phi, iota1, quad)
-        corr_N = op_D(omega_tilde(phi, phi.conj(), iota2, quad))
+        corr_u, corr_N = _corrections(phi, psi, iota1, iota2, quad)
         new_phi = RadialField(u_t.grid, u_t.values + corr_u.values)
         new_psi = RadialField(u_t.grid, N_t.values + corr_N.values)
         inc = (lp_norm(new_phi - phi, 2) + lp_norm(new_psi - psi, 2))

@@ -11,8 +11,8 @@ A_s and Laplacian operators:
     f3 = A_d psi - d f0^4          4 f4 = -A_{d+2} Lap psi
     f5 = A_{d-2} psi - (d-1) f0^3
 
-with A_s = x d/dx + (d+s)/2.  All identities below use the real pairing
-<f|g> = Re integral conj(f) g dx.
+with A_s = x d/dx + (d+s)/2 and d = D = 4.  All identities below use the real
+pairing <f|g> = Re integral conj(f) g dx.
 """
 
 from __future__ import annotations
@@ -31,11 +31,12 @@ from .grid import (
     op_D,
     op_D_inverse,
     radial_derivative,
+    radial_laplacian_fd,
     to_physical,
 )
 from .variational import nehari_K
 
-D_DEFAULT = 4
+D = 4  # the grid (SPHERE_S3, order-1 kernel, FOURIER_NORM) is R^4-only
 
 
 def _psi_powers(x: np.ndarray):
@@ -50,36 +51,35 @@ class VirialWeights:
     combinations carry the extra R^{-2} where they enter the identities.
     """
 
-    def __init__(self, grid: RadialGrid, R: float, d: int = D_DEFAULT):
+    def __init__(self, grid: RadialGrid, R: float):
         if R <= 0:
             raise ValueError("virial scale R must be positive")
         self.grid = grid
         self.R = float(R)
-        self.d = d
         x = grid.r_nodes / R
         self.x = x
         psi, psi3, psi5, psi7 = _psi_powers(x)
         self.psi = psi
         self.f0 = psi**1.5
         self.f1 = x**2 * psi3
-        self.f2 = (d - 3) * (d - 1) * psi3 + 3 * psi5 - 6 * psi7
-        self.f3 = (d - 1) * psi + psi3 - d * psi**6
-        self.f4 = ((d - 3) * (d - 2) * psi3 + 3 * (2 * d - 7) * psi5
+        self.f2 = (D - 3) * (D - 1) * psi3 + 3 * psi5 - 6 * psi7
+        self.f3 = (D - 1) * psi + psi3 - D * psi**6
+        self.f4 = ((D - 3) * (D - 2) * psi3 + 3 * (2 * D - 7) * psi5
                    + 15 * psi7) / 4.0
-        self.f5 = (d - 1) * (psi - psi**4.5) - x**2 * psi3
-        # h = A_{d-1} psi and the radial-stretch weight
-        self.h = (2 * d - 1) / 2.0 * psi - x**2 * psi3
+        self.f5 = (D - 1) * (psi - psi**4.5) - x**2 * psi3
+        # h = A_{D-1} psi and the radial-stretch weight
+        self.h = (2 * D - 1) / 2.0 * psi - x**2 * psi3
         self.La = x**2 / (1.0 + x) ** 4
         # closed-form ingredients of the identities
         self.r_dpsi = -(x**2) * psi3                 # r d/dr of psi_R
-        self.A_d_psi = d * psi - x**2 * psi3
-        self.A_dm2_psi = (d - 1) * psi - x**2 * psi3
-        lap_psi = -(d - 3) * psi3 - 3 * psi5         # Lap psi (unscaled x)
-        x_dlap = x**2 * (3 * (d - 3) * psi5 + 15 * psi7)
+        self.A_d_psi = D * psi - x**2 * psi3
+        self.A_dm2_psi = (D - 1) * psi - x**2 * psi3
+        lap_psi = -(D - 3) * psi3 - 3 * psi5         # Lap psi (unscaled x)
+        x_dlap = x**2 * (3 * (D - 3) * psi5 + 15 * psi7)
         self.lap_psi = lap_psi
-        self.A_dp4_lap_psi = x_dlap + (d + 2) * lap_psi
-        self.A_dp2_lap_psi = x_dlap + (d + 1) * lap_psi
-        self.lap_f0 = (-1.5 * d) * psi**3.5 + 5.25 * x**2 * psi**5.5
+        self.A_dp4_lap_psi = x_dlap + (D + 2) * lap_psi
+        self.A_dp2_lap_psi = x_dlap + (D + 1) * lap_psi
+        self.lap_f0 = (-1.5 * D) * psi**3.5 + 5.25 * x**2 * psi**5.5
 
     def fields(self):
         return {name: getattr(self, name)
@@ -88,14 +88,13 @@ class VirialWeights:
 
     def defining_relation_residuals(self) -> dict:
         """Closed-form vs closed-form residuals (exact up to roundoff)."""
-        d = self.d
         res = {
             "f0": self.f0**2 - (self.psi + self.r_dpsi),
             "f1": self.f1 + self.r_dpsi,
             "f2": self.f2 - (-self.A_dp4_lap_psi + 4 * self.f0 * self.lap_f0),
-            "f3": self.f3 - (self.A_d_psi - d * self.f0**4),
+            "f3": self.f3 - (self.A_d_psi - D * self.f0**4),
             "f4": 4 * self.f4 + self.A_dp2_lap_psi,
-            "f5": self.f5 - (self.A_dm2_psi - (d - 1) * self.f0**3),
+            "f5": self.f5 - (self.A_dm2_psi - (D - 1) * self.f0**3),
         }
         return {k: float(np.abs(v).max()) for k, v in res.items()}
 
@@ -106,26 +105,24 @@ class VirialWeights:
         spectral one would see the Dirichlet wall); residuals are taken on
         the grid interior (r < r_max/2).
         """
-        from .grid import radial_laplacian_fd
-        grid, d, R = self.grid, self.d, self.R
+        grid, R = self.grid, self.R
         mask = grid.interior_mask()
         lap_psi_num = radial_laplacian_fd(
             RadialField(grid, self.psi)).values.real * R**2
         lap_f0_num = radial_laplacian_fd(
             RadialField(grid, self.f0)).values.real * R**2
-        As_psi = lambda s: apply_As(RadialField(grid, self.psi), s,
-                                    d=d).values.real
+        As_psi = lambda s: apply_As(RadialField(grid, self.psi), s).values.real
         x_dlap = ((grid.wide_derivative_matrix() @ lap_psi_num)
                   * grid.r_nodes)
         res = {
             "f0_num": self.f0**2 - (self.psi + grid.r_nodes
                                     * radial_derivative(
                                         RadialField(grid, self.psi)).values.real),
-            "f2_num": self.f2 - (-(x_dlap + (d + 2) * lap_psi_num)
+            "f2_num": self.f2 - (-(x_dlap + (D + 2) * lap_psi_num)
                                  + 4 * self.f0 * lap_f0_num),
-            "f3_num": self.f3 - (As_psi(d) - d * self.f0**4),
-            "f4_num": 4 * self.f4 + (x_dlap + (d + 1) * lap_psi_num),
-            "f5_num": self.f5 - (As_psi(d - 2) - (d - 1) * self.f0**3),
+            "f3_num": self.f3 - (As_psi(D) - D * self.f0**4),
+            "f4_num": 4 * self.f4 + (x_dlap + (D + 1) * lap_psi_num),
+            "f5_num": self.f5 - (As_psi(D - 2) - (D - 1) * self.f0**3),
         }
         return {k: float(np.abs(v[mask]).max()) for k, v in res.items()}
 
@@ -139,11 +136,11 @@ class VirialWeights:
         return out
 
 
-def apply_As(f: RadialField, s: float, d: int = D_DEFAULT) -> RadialField:
-    """A_s f = r f_r + ((d + s)/2) f with the grid's FD derivative."""
+def apply_As(f: RadialField, s: float) -> RadialField:
+    """A_s f = r f_r + ((D + s)/2) f with the grid's FD derivative."""
     g = to_physical(f)
     df = radial_derivative(g)
-    vals = g.grid.r_nodes * df.values + 0.5 * (d + s) * g.values
+    vals = g.grid.r_nodes * df.values + 0.5 * (D + s) * g.values
     return RadialField(g.grid, vals, PHYSICAL)
 
 
@@ -188,12 +185,12 @@ class VirialBreakdown:
         return self.NS + self.QN + self.CC
 
 
-def _pair_i_sym(a: RadialField, weight: np.ndarray, b: RadialField, s: float,
-                d: int) -> float:
+def _pair_i_sym(a: RadialField, weight: np.ndarray, b: RadialField,
+                s: float) -> float:
     """<a | i (A_s w + w A_s) b> with the real pairing."""
     grid = a.grid
-    first = apply_As(RadialField(grid, weight * b.values), s, d)
-    second = weight * apply_As(b, s, d).values
+    first = apply_As(RadialField(grid, weight * b.values), s)
+    second = weight * apply_As(b, s).values
     integrand = np.real(np.conj(a.values) * 1j * (first.values + second))
     return float(SPHERE_S3 * np.sum(grid.quad_weights_r * integrand))
 
@@ -206,15 +203,15 @@ def virial_values(u: RadialField, N: RadialField,
     N = to_physical(N)
     if u.grid != grid or N.grid != grid:
         raise ValueError("state and weights live on different grids")
-    d, R = weights.d, weights.R
+    R = weights.R
     w = grid.quad_weights_r
     ones = np.ones(grid.n)
 
     eta_N = op_D_inverse(N)
-    V_R = (_pair_i_sym(u, weights.psi, u, 0.0, d)
-           + 0.5 * _pair_i_sym(eta_N, weights.psi, N, 1.0, d))
-    V_inf = (_pair_i_sym(u, ones, u, 0.0, d)
-             + 0.5 * _pair_i_sym(eta_N, ones, N, 1.0, d))
+    V_R = (_pair_i_sym(u, weights.psi, u, 0.0)
+           + 0.5 * _pair_i_sym(eta_N, weights.psi, N, 1.0))
+    V_inf = (_pair_i_sym(u, ones, u, 0.0)
+             + 0.5 * _pair_i_sym(eta_N, ones, N, 1.0))
 
     nu = np.real(N.values) - np.abs(u.values) ** 2
     nu_field = RadialField(grid, nu)
@@ -237,7 +234,7 @@ def virial_values(u: RadialField, N: RadialField,
         - 0.25 * (weights.A_dp2_lap_psi / R**2) * eta.values.real**2)))
 
     u_sq = RadialField(grid, np.abs(u.values) ** 2)
-    brace_psi = commutator_brace(weights.psi, apply_As(u_sq, 1.0, d))
+    brace_psi = commutator_brace(weights.psi, apply_As(u_sq, 1.0))
     brace_rdp = commutator_brace(weights.r_dpsi, u_sq)
     CC3p = float(SPHERE_S3 * np.sum(w * nu * np.real(
         brace_psi.values + 0.5 * brace_rdp.values)))
@@ -245,7 +242,7 @@ def virial_values(u: RadialField, N: RadialField,
         w * nu * np.abs(u.values) ** 2 * weights.A_dm2_psi)) + CC3p
 
     rate_inf = (4.0 * nehari_K(u) + lp_norm(nu_field, 2) ** 2
-                - (d - 1) * SPHERE_S3 * np.sum(w * nu * np.abs(u.values) ** 2))
+                - (D - 1) * SPHERE_S3 * np.sum(w * nu * np.abs(u.values) ** 2))
 
     low_frac, _ = low_frequency_fraction(nu_field)
     return VirialBreakdown(V_R=V_R, NS=NS, QN=QN, CC=CC, CC3p=CC3p,

@@ -243,3 +243,22 @@ class TestDerivative:
             exact = -0.5 * g.r_nodes * np.exp(-g.r_nodes**2 / 4)
             errs.append(np.abs(radial_derivative(f).values - exact).max())
         assert errs[0] / errs[1] > 10
+
+    @pytest.mark.parametrize("n", [8, 64, 1024])
+    @pytest.mark.parametrize("order, width, name", [
+        (1, 5, "derivative_matrix"),
+        (2, 9, "second_derivative_matrix"),
+        (1, 9, "wide_derivative_matrix"),
+    ])
+    def test_stencils_exact_on_even_monomials(self, n, order, width, name):
+        # (r/r_max)^2 and (r/r_max)^4 are even and within every stencil's
+        # degree, so each row is exact up to roundoff: the rows folded across
+        # r = 0 and the one-sided rows at the wall included
+        g = make_grid(n, 10.0)
+        D = getattr(g, name)()
+        assert D.nnz <= n * width
+        x = g.r_nodes / g.r_max
+        for p in (2, 4):
+            exact = (p * x ** (p - 1) if order == 1
+                     else p * (p - 1) * x ** (p - 2)) / g.r_max**order
+            assert np.all(np.abs(D @ x**p - exact) <= 1e-6 * np.abs(exact))

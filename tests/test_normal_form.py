@@ -13,7 +13,7 @@ from zakharov4d.grid import (
     transform,
     zero_field,
 )
-from zakharov4d.dyadic import chi0
+from zakharov4d.dyadic import chi0, dyadic_blocks
 from zakharov4d.normal_form import (
     AngularQuadrature,
     BilinearKernelSpec,
@@ -23,8 +23,9 @@ from zakharov4d.normal_form import (
     OMEGA_TILDE,
     angular_convergence_defect,
     apply_bilinear,
+    _block_ranges,
+    _hl,
     hh_product,
-    hl_pairs,
     hl_product,
     lh_product,
     normal_inverse,
@@ -69,10 +70,25 @@ class TestAngularQuadrature:
 
 
 class TestPairRestrictions:
-    def test_hl_pairs_rule(self, grid_small):
-        iota = 1 / 8
-        for j, k in hl_pairs(grid_small, iota):
-            assert iota * j >= max(k, 2.0)
+    @pytest.mark.parametrize("iota", [1 / 2, 1 / 4, 1 / 8, 1 / 16])
+    @pytest.mark.parametrize("region", ["hl", "hh"])
+    @pytest.mark.parametrize("grid_name", ["grid_small", "kgrid"])
+    def test_block_ranges_are_exact_runs(self, request, grid_name, region,
+                                         iota):
+        # each listed (j, lo, hi) covers exactly the partners k with
+        # keep(j, k), and every block with a partner is listed once
+        g = request.getfixturevalue(grid_name)
+        if region == "hl":
+            keep = lambda j, k: _hl(j, k, iota)
+        else:
+            keep = lambda j, k: not (_hl(j, k, iota) or _hl(k, j, iota))
+        blocks = dyadic_blocks(g)
+        ranges = _block_ranges(g, keep)
+        listed = [j for j, _, _ in ranges]
+        assert listed == [j for j in blocks if any(keep(j, k) for k in blocks)]
+        for j, lo, hi in ranges:
+            for k in blocks:
+                assert (lo <= k <= hi) == keep(j, k)
 
     def test_hl_plus_lh_is_product(self, grid_small, rng):
         g = grid_small
@@ -199,9 +215,12 @@ class TestApplyBilinear:
         fhat = lambda t: np.exp(-((t - fc) ** 2) / (2 * fw**2))
         ghat = lambda s: np.exp(-((s - gc) ** 2) / (2 * gw**2))
 
-        # pairs that can touch these spectra (others are cut off by chi0)
-        live = [(kk, ll) for (kk, ll) in spec.pairs(g)
-                if 4 <= kk <= 64 and 0.25 <= ll <= 4]
+        # HL_{1/4} pairs that can touch these spectra (others are cut off
+        # by chi0)
+        blocks = dyadic_blocks(g)
+        live = [(kk, ll) for kk in blocks for ll in blocks
+                if kk / 4 >= max(ll, 2.0)
+                and 4 <= kk <= 64 and 0.25 <= ll <= 4]
 
         def integrand(c, s):
             tau = np.sqrt(rho_m**2 + s**2 - 2 * rho_m * s * c)

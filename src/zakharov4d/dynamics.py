@@ -75,6 +75,14 @@ SCATTERING_LIKE = "scattering_like"
 BLOWUP_LIKE = "blowup_like"
 INCONCLUSIVE = "inconclusive"
 
+DRIFT_TOL = 1e-5           # per-step relative E_Z drift triggering a halving
+SPONGE_STRENGTH, SPONGE_START_FRACTION = 5.0, 0.8  # start: share of r_max
+S_DECAY = 0.5              # s in the L^{2(-s)} scattering monitor
+R_LOCAL = 10.0             # radius of the local-mass monitor
+PROBE_STORE_EVERY = 5      # probe steps between X^delta samples
+DECAY_FRACTION = 0.5       # scattering_like: decay below this share of the max
+GRAD_GROWTH_FACTOR = 5.0   # blowup_like, and run()'s grad_growth_5x event
+
 
 @dataclass
 class ZakharovState:
@@ -104,15 +112,10 @@ class IntegratorConfig:
     mode: str = FULL
     adaptive: bool = False
     dt_floor: float = 1e-7
-    drift_tol: float = 1e-5          # per-step relative E_Z drift triggering a halving
     grad_ceiling_factor: float = 20.0
     sponge: bool = False
-    sponge_strength: float = 5.0
-    sponge_start_fraction: float = 0.8
     monitor_every: int = 10
     store_every: int = 0             # 0: no trajectory kept
-    s_decay: float = 0.5             # s in the L^{2(-s)} scattering monitor
-    r_local: float = 10.0
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -171,9 +174,9 @@ class _Propagator:
         self.cfg = cfg
         self._dt = None
         if cfg.sponge:
-            x = (grid.r_nodes / grid.r_max - cfg.sponge_start_fraction) / (
-                1.0 - cfg.sponge_start_fraction)
-            self.sponge_profile = cfg.sponge_strength * smooth_transition(x)
+            x = (grid.r_nodes / grid.r_max - SPONGE_START_FRACTION) / (
+                1.0 - SPONGE_START_FRACTION)
+            self.sponge_profile = SPONGE_STRENGTH * smooth_transition(x)
         else:
             self.sponge_profile = None
 
@@ -269,10 +272,10 @@ def _monitor(log: RunLog, u: RadialField, N: RadialField, grad_sq: float,
     log.N_L2.append(lp_norm(N, 2))
     log.u_L4.append(lp_norm(u, 4))
     log.K_u.append(nehari_K(u, grad_sq))
-    inside = grid.r_nodes < cfg.r_local
+    inside = grid.r_nodes < R_LOCAL
     log.local_mass.append(np.sqrt(
         SPHERE_S3 * np.sum((grid.quad_weights_r * np.abs(u.values) ** 2)[inside])))
-    p = 1.0 / (0.5 - cfg.s_decay / 4.0)
+    p = 1.0 / (0.5 - S_DECAY / 4.0)
     log.u_decay_norm.append(lp_norm(u, p))
     log.dt_hist.append(dt)
 
@@ -282,8 +285,9 @@ def run(state0: ZakharovState, cfg: IntegratorConfig, t_end: float,
     """Step to t_end (or a blow-up trip), logging every monitor_every steps.
 
     Adaptive mode halves dt whenever the single-step E_Z drift estimate
-    exceeds cfg.drift_tol and trips blow-up when dt underflows or |grad u|
-    exceeds the configured ceiling.  Errors become events, never raises.
+    exceeds DRIFT_TOL and trips blow-up when dt underflows or |grad u|
+    exceeds the configured ceiling (past GRAD_GROWTH_FACTOR times its initial
+    value it logs grad_growth_5x).  Errors become events, never raises.
     `stop_when(log) -> bool`, checked at monitor instants, allows early exit
     (verdict already established).
     """
@@ -317,7 +321,7 @@ def run(state0: ZakharovState, cfg: IntegratorConfig, t_end: float,
             new_phys = prop.fields(nu, nN)
             e_new = flow_energy(*new_phys, cfg.mode, _grad_sq(grid, nu))
             scale = max(abs(e_prev), 1e-12)
-            if abs(e_new - e_prev) > cfg.drift_tol * scale:
+            if abs(e_new - e_prev) > DRIFT_TOL * scale:
                 if dt / 2.0 < cfg.dt_floor:
                     log.add_event(t, "blowup", "dt underflow")
                     break
@@ -346,7 +350,7 @@ def run(state0: ZakharovState, cfg: IntegratorConfig, t_end: float,
                 log.add_event(t, "blowup",
                               f"grad ceiling {grad_ceiling:.3g} exceeded")
                 break
-            if log.grad_u[-1] > 5.0 * log.grad_u[0]:
+            if log.grad_u[-1] > GRAD_GROWTH_FACTOR * log.grad_u[0]:
                 if not log.has_event("grad_growth_5x"):
                     log.add_event(t, "grad_growth_5x",
                                   f"grad {log.grad_u[-1]:.3g}")
@@ -453,7 +457,7 @@ class ProbeEstimate:
 
 def strichartz_probe(grid: RadialGrid, family: dict, delta: float,
                      ensemble_size: int, horizons, rng: np.random.Generator,
-                     dt: float = 0.02, store_every: int = 5) -> ProbeEstimate:
+                     dt: float = 0.02) -> ProbeEstimate:
     """Empirical X~^delta / L^2 ratio growth profile.
 
     Evolves random unit-L^2 band-limited data under
@@ -461,7 +465,7 @@ def strichartz_probe(grid: RadialGrid, family: dict, delta: float,
     (linear_potential mode), and reports the worst ratio at each horizon.
 
     The members step together as the u columns of one state that shares
-    the V column.  Every store_every steps (and at t = 0) one batched
+    the V column.  Every PROBE_STORE_EVERY steps (and at t = 0) one batched
     synthesis pass gives each member's X^delta profile; each horizon T is
     reduced from the samples at t <= T.  A non-finite state at a sample
     raises BlowupError.
@@ -483,7 +487,7 @@ def strichartz_probe(grid: RadialGrid, family: dict, delta: float,
     t, k = 0.0, 0
     times, besov, block_l2 = [], [], []
     while True:
-        if k % store_every == 0:
+        if k % PROBE_STORE_EVERY == 0:
             if not np.all(np.isfinite(u)):
                 raise BlowupError(f"non-finite probe state at t={t:g}")
             terms, l2 = dyadic_profile(u, grid, s, p, blocks)
@@ -515,22 +519,21 @@ class ScatteringVerdict:
     detail: dict
 
 
-def scattering_diagnostics(log: RunLog, decay_fraction: float = 0.5,
-                           grad_growth_factor: float = 5.0) -> ScatteringVerdict:
+def scattering_diagnostics(log: RunLog) -> ScatteringVerdict:
     """Heuristic verdict from a completed run.
 
     scattering_like: the L^{2(-s)} norm and the local mass both fall below
-    decay_fraction of their run maxima over the final quarter while |grad u|
+    DECAY_FRACTION of their run maxima over the final quarter while |grad u|
     and |N|_2 stay bounded.  blowup_like: a blow-up event fired or |grad u|
-    grew past grad_growth_factor times its initial value.  Otherwise
+    grew past GRAD_GROWTH_FACTOR times its initial value.  Otherwise
     inconclusive.  Infinite-time scattering is not decidable at desk scale;
-    thresholds are configurable and reported.
+    the thresholds are module constants and the measured ratios are reported.
     """
     t = np.asarray(log.times)
     grad = np.asarray(log.grad_u)
     detail = {"events": list(log.events)}
     if log.has_event("blowup") or (len(grad) and
-                                   grad.max() >= grad_growth_factor * grad[0]):
+                                   grad.max() >= GRAD_GROWTH_FACTOR * grad[0]):
         detail["grad_growth"] = float(grad.max() / max(grad[0], 1e-300))
         return ScatteringVerdict(BLOWUP_LIKE, detail)
     if len(t) < 8:
@@ -543,7 +546,7 @@ def scattering_diagnostics(log: RunLog, decay_fraction: float = 0.5,
     detail.update(decay_ratio=float(decay_ratio),
                   local_ratio=float(local_ratio),
                   grad_growth=float(grad.max() / max(grad[0], 1e-300)))
-    bounded = grad.max() < grad_growth_factor * max(grad[0], 1e-300)
-    if bounded and decay_ratio < decay_fraction and local_ratio < decay_fraction:
+    bounded = grad.max() < GRAD_GROWTH_FACTOR * max(grad[0], 1e-300)
+    if bounded and decay_ratio < DECAY_FRACTION and local_ratio < DECAY_FRACTION:
         return ScatteringVerdict(SCATTERING_LIKE, detail)
     return ScatteringVerdict(INCONCLUSIVE, detail)

@@ -7,8 +7,10 @@ transform of order d/2 - 1 = 1,
 
 so a collocation grid on the scaled zeros of J_1 diagonalizes D = sqrt(-Lap),
 its inverse, and the Laplacian exactly (no angular error).  The discrete pair
-follows the quasi-discrete Hankel transform normalization: the symmetric
-kernel matrix is its own inverse on the resolvable band to ~1e-12.
+follows the quasi-discrete Hankel transform normalization (Guizar-Sicairos &
+Gutierrez-Vega, JOSA A 21, 2004) as one matrix M and one scalar: physical ->
+spectral is c M and back is M / c, c = (2 pi)^2 r_max^4 / j_{1,n+1}^2.  M is
+its own inverse on the resolvable band to ~1e-12.
 
 Fields carry a space tag ("physical" or "spectral"); all operations below are
 pure and grids are immutable after construction.
@@ -32,6 +34,10 @@ FOURIER_NORM = (2.0 * np.pi) ** 2
 PHYSICAL = "physical"
 SPECTRAL = "spectral"
 
+INTERIOR_FRACTION = 0.5
+LOW_MODES = 3
+TRUNCATION_INNER, TRUNCATION_OUTER = 0.6, 0.9
+
 
 class GridError(ValueError):
     """Invalid grid construction or mismatched grid usage."""
@@ -52,8 +58,9 @@ class RadialGrid:
     quad_weights_r, quad_weights_rho : ndarray
         Positive weights realizing integral f r^3 dr on each side.
     transform_kernel : ndarray, shape (n, n)
-        Symmetric order-1 Fourier-Bessel matrix, self-inverse on the
-        resolvable band.
+        Order-1 Fourier-Bessel matrix M = S^{-1} K S, with K the symmetric
+        quasi-discrete Hankel kernel and S = diag(j_{1,k} / |J_0(j_{1,k})|);
+        self-inverse on the resolvable band.
     """
 
     def __init__(self, n: int, r_max: float):
@@ -75,12 +82,12 @@ class RadialGrid:
         self.r_nodes = j * r_max / j_edge
         self.rho_nodes = j / r_max
 
-        # |J_2(j_{1,k})| = |J_0(j_{1,k})| at zeros of J_1.
+        # |J_2(j_{1,k})| = |J_0(j_{1,k})| at zeros of J_1; K_ik is
+        # 2 J_1(j_i j_k / j_edge) / (j_edge |J_0(j_i)| |J_0(j_k)|).
         absJ0 = np.abs(special.j0(j))
-        self.transform_kernel = (
-            2.0 * special.j1(np.outer(j, j) / j_edge)
-            / (j_edge * np.outer(absJ0, absJ0))
-        )
+        self.transform_kernel = (2.0 * special.j1(np.outer(j, j) / j_edge)
+                                 * (j / absJ0**2) / (j_edge * j[:, None]))
+        self._spectral_scale = FOURIER_NORM * r_max**4 / j_edge**2
 
         # Dini-series quadrature for integral g(r) r dr, restated for the
         # R^4 radial measure r^3 dr via g = r^2 * f.
@@ -89,15 +96,9 @@ class RadialGrid:
             2.0 * self.rho_max**2 * self.rho_nodes**2 / (j_edge**2 * absJ0**2)
         )
 
-        # Node scalings that make the kernel matrix act symmetrically:
-        # physical -> spectral is  f -> (K (f * scale_r)) / scale_rho.
-        self._scale_r = self.r_nodes * r_max / absJ0
-        self._scale_rho = self.rho_nodes * self.rho_max / (FOURIER_NORM * absJ0)
-
         self._fd_matrices = {}
         for arr in (self.r_nodes, self.rho_nodes, self.transform_kernel,
-                    self.quad_weights_r, self.quad_weights_rho,
-                    self._scale_r, self._scale_rho):
+                    self.quad_weights_r, self.quad_weights_rho):
             arr.setflags(write=False)
 
     def __repr__(self):
@@ -113,27 +114,17 @@ class RadialGrid:
     # -- transforms ---------------------------------------------------------
 
     def _kernel_apply(self, columns: np.ndarray) -> np.ndarray:
-        """Apply the kernel to one or many columns, complex handled as
-        interleaved real pairs so BLAS sees a single real GEMM."""
-        squeeze = columns.ndim == 1
-        cols = columns.reshape(self.n, -1)
-        if np.iscomplexobj(cols):
-            flat = np.ascontiguousarray(cols).view(np.float64).reshape(self.n, -1)
-            out = (self.transform_kernel @ flat).view(np.complex128)
-        else:
-            out = self.transform_kernel @ np.ascontiguousarray(cols)
-        return out[:, 0] if squeeze else out
-
-    def _rescale(self, values, scale_in, scale_out):
-        vals = values.reshape(self.n, -1) * scale_in[:, None]
-        out = self._kernel_apply(vals) / scale_out[:, None]
-        return out[:, 0] if values.ndim == 1 else out
+        """M times one or many columns (complex; real input is promoted),
+        as interleaved real pairs so BLAS sees a single real GEMM."""
+        cols = np.ascontiguousarray(columns, np.complex128)
+        out = self.transform_kernel @ cols.reshape(self.n, -1).view(np.float64)
+        return out.view(np.complex128).reshape(cols.shape)
 
     def to_spectral_values(self, values: np.ndarray) -> np.ndarray:
-        return self._rescale(values, self._scale_r, self._scale_rho)
+        return self._kernel_apply(values) * self._spectral_scale
 
     def to_physical_values(self, values: np.ndarray) -> np.ndarray:
-        return self._rescale(values, self._scale_rho, self._scale_r)
+        return self._kernel_apply(values) / self._spectral_scale
 
     # -- radial derivative --------------------------------------------------
 
@@ -166,9 +157,9 @@ class RadialGrid:
             self._fd_matrices[(order, width)] = D
         return D
 
-    def interior_mask(self, fraction: float = 0.5) -> np.ndarray:
-        """Nodes with r < fraction * r_max, clear of boundary reflection."""
-        return self.r_nodes < fraction * self.r_max
+    def interior_mask(self) -> np.ndarray:
+        """Nodes with r < INTERIOR_FRACTION * r_max, clear of the wall."""
+        return self.r_nodes < INTERIOR_FRACTION * self.r_max
 
 
 @lru_cache(maxsize=8)
@@ -334,14 +325,14 @@ def op_laplacian(f: RadialField) -> RadialField:
     return apply_multiplier(f, -f.grid.rho_nodes**2)
 
 
-def low_frequency_fraction(f: RadialField, modes: int = 3):
-    """Spectral-mass share and values of the lowest `modes` coefficients."""
+def low_frequency_fraction(f: RadialField):
+    """Spectral-mass share and values of the lowest LOW_MODES coefficients."""
     spec = to_spectral(f)
     w = f.grid.quad_weights_rho
     total = np.sum(w * np.abs(spec.values) ** 2)
-    low = np.sum((w * np.abs(spec.values) ** 2)[:modes])
+    low = np.sum((w * np.abs(spec.values) ** 2)[:LOW_MODES])
     frac = 0.0 if total == 0 else low / total
-    return frac, spec.values[:modes].copy()
+    return frac, spec.values[:LOW_MODES].copy()
 
 
 def lp_norm(f: RadialField, p: float) -> float:
@@ -407,10 +398,10 @@ def smooth_transition(x: np.ndarray) -> np.ndarray:
     return a / (a + b)
 
 
-def truncation_profile(grid: RadialGrid, inner_fraction: float = 0.6,
-                       outer_fraction: float = 0.9) -> np.ndarray:
-    """Smooth cutoff equal to 1 on r <= inner_fraction * r_max and 0 beyond
-    outer_fraction * r_max; keeps slowly decaying profiles in L^2 while
+def truncation_profile(grid: RadialGrid) -> np.ndarray:
+    """Smooth cutoff equal to 1 on r <= TRUNCATION_INNER * r_max and 0 beyond
+    TRUNCATION_OUTER * r_max; keeps slowly decaying profiles in L^2 while
     preserving interior identities."""
-    x = (grid.r_nodes / grid.r_max - inner_fraction) / (outer_fraction - inner_fraction)
+    x = ((grid.r_nodes / grid.r_max - TRUNCATION_INNER)
+         / (TRUNCATION_OUTER - TRUNCATION_INNER))
     return 1.0 - smooth_transition(x)

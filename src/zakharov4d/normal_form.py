@@ -45,6 +45,7 @@ OMEGA_MINUS = "omega_minus"
 OMEGA_TILDE = "omega_tilde"
 
 DENOMINATOR_FLOOR = 1e-12
+INVERSE_TOL = 1e-10   # normal_inverse stops at this relative increment
 
 # blocks carrying less than this share of a factor's peak are transform
 # round-trip noise (~1e-13) and are skipped by the kernel loops
@@ -296,7 +297,7 @@ class NonContractionError(RuntimeError):
 
 
 def normal_inverse(u_t: RadialField, N_t: RadialField, iota1: float,
-                   iota2: float, max_iter: int = 30, tol: float = 1e-10,
+                   iota2: float, max_iter: int = 30,
                    quad: AngularQuadrature | None = None):
     """Invert Psi by fixed point (phi, psi) <- (u', N') + OmegaVec(phi, psi).
 
@@ -314,7 +315,7 @@ def normal_inverse(u_t: RadialField, N_t: RadialField, iota1: float,
         new_psi = RadialField(u_t.grid, N_t.values + corr_N.values)
         inc = (lp_norm(new_phi - phi, 2) + lp_norm(new_psi - psi, 2))
         phi, psi = new_phi, new_psi
-        if inc / scale < tol:
+        if inc / scale < INVERSE_TOL:
             return phi, psi
         if prev_inc is not None and prev_inc > 0:
             factor = inc / prev_inc

@@ -123,9 +123,7 @@ def zakharov_energy(u: RadialField, N: RadialField,
     return 0.5 * (grad_sq + 0.5 * lp_norm(N, 2) ** 2 - cross)
 
 
-def functionals(u: RadialField, N: RadialField,
-                threshold: float = MASS_THRESHOLD_EXACT,
-                es_w: float = ES_W_EXACT) -> EnergyReport:
+def functionals(u: RadialField, N: RadialField) -> EnergyReport:
     """Evaluate M, E_S, E_Z, K, and classify per the below-threshold
     trichotomy; above the ground-state energy no side is guessed."""
     uu = to_physical(u)
@@ -138,11 +136,11 @@ def functionals(u: RadialField, N: RadialField,
     nu_l2 = lp_norm(RadialField(uu.grid, nu_vals), 2)
     e_z = e_s + 0.25 * nu_l2**2
 
-    if e_z >= es_w:
+    if e_z >= ES_W_EXACT:
         side = ABOVE_THRESHOLD
-    elif abs(n_l2 - threshold) <= THRESHOLD_BAND * threshold:
+    elif abs(n_l2 - MASS_THRESHOLD_EXACT) <= THRESHOLD_BAND * MASS_THRESHOLD_EXACT:
         side = INDETERMINATE
-    elif n_l2 < threshold:
+    elif n_l2 < MASS_THRESHOLD_EXACT:
         side = SCATTERING_SIDE
     else:
         side = BLOWUP_SIDE
@@ -166,9 +164,7 @@ class EquivalenceReport:
         return self.agreements == self.checked - self.indeterminate
 
 
-def check_dichotomy_equivalence(samples, threshold: float = MASS_THRESHOLD_EXACT,
-                                es_w: float = ES_W_EXACT,
-                                band: float = THRESHOLD_BAND) -> EquivalenceReport:
+def check_dichotomy_equivalence(samples) -> EquivalenceReport:
     """Verify the three-way sign agreement on every below-threshold pair:
 
         K(u) >= 0  <=>  |N|_2 < |W|_4^2  <=>  |N|_2^2 <= 4 E_Z(u, N)
@@ -180,16 +176,16 @@ def check_dichotomy_equivalence(samples, threshold: float = MASS_THRESHOLD_EXACT
     checked = skipped = agree = indet = 0
     bad = []
     for u, N in samples:
-        rep = functionals(u, N, threshold, es_w)
-        if rep.energy_Z >= es_w:
+        rep = functionals(u, N)
+        if rep.classification == ABOVE_THRESHOLD:
             skipped += 1
             continue
         checked += 1
-        if abs(rep.N_L2 - threshold) <= band * threshold:
+        if rep.classification == INDETERMINATE:
             indet += 1
             continue
         c1 = rep.K >= 0
-        c2 = rep.N_L2 < threshold
+        c2 = rep.N_L2 < MASS_THRESHOLD_EXACT
         c3 = rep.N_L2**2 <= 4.0 * rep.energy_Z
         if c1 == c2 == c3:
             agree += 1
@@ -212,8 +208,7 @@ class MonotonicityReport:
         return not self.violations
 
 
-def check_estK(samples, es_w: float = ES_W_EXACT, w4_sq: float = MASS_THRESHOLD_EXACT,
-               slack: float = 1e-8) -> MonotonicityReport:
+def check_estK(samples, slack: float = 1e-8) -> MonotonicityReport:
     """Check the K-monotonicity bounds on admissible pairs (phi, a):
 
         K >= 0  =>  K >= a |phi|_4^2  and  |W|_4^2 > |phi|_4^2 + a,
@@ -226,7 +221,7 @@ def check_estK(samples, es_w: float = ES_W_EXACT, w4_sq: float = MASS_THRESHOLD_
     worst = np.inf
     for phi, a in samples:
         e_s = nls_energy(phi)
-        if a < 0 or e_s + a * a / 4.0 > es_w * (1 + 1e-12):
+        if a < 0 or e_s + a * a / 4.0 > ES_W_EXACT * (1 + 1e-12):
             skipped += 1
             continue
         checked += 1
@@ -235,7 +230,7 @@ def check_estK(samples, es_w: float = ES_W_EXACT, w4_sq: float = MASS_THRESHOLD_
         margins = []
         if k >= 0:
             margins.append(k - a * phi4_sq)
-            margins.append(w4_sq - phi4_sq - a)
+            margins.append(MASS_THRESHOLD_EXACT - phi4_sq - a)
         if k <= 0:
             margins.append(-(4.0 * k + a * a) - 3.0 * a * phi4_sq)
         m = min(margins)

@@ -37,6 +37,7 @@ from .grid import (
 from .variational import nehari_K
 
 D = 4  # the grid (SPHERE_S3, order-1 kernel, FOURIER_NORM) is R^4-only
+RICHARDSON_TOL = 0.1  # rate_check: 1- vs 2-stride disagreement allowed
 
 
 def _psi_powers(x: np.ndarray):
@@ -266,14 +267,13 @@ class RateCheckReport:
     max_mismatch_inf: float
 
 
-def rate_check(traj_u, traj_N, weights: VirialWeights,
-               richardson_tol: float = 0.1) -> RateCheckReport:
+def rate_check(traj_u, traj_N, weights: VirialWeights) -> RateCheckReport:
     """Compare centered-difference dV_R/dt with NS + QN + CC along a stored
     trajectory (and dV_inf/dt with the flat-space rate).
 
     Requires a uniform stride; a stride too coarse for O(dt^2) accuracy is
     detected by comparing the 1-stride and 2-stride centered differences
-    (Richardson disagreement above richardson_tol raises StrideError).
+    (Richardson disagreement above RICHARDSON_TOL raises StrideError).
     """
     times = traj_u.times
     if len(times) < 5:
@@ -295,7 +295,7 @@ def rate_check(traj_u, traj_N, weights: VirialWeights,
     # 2-stride centered difference on the interior where both exist
     fd2_R = (V_R[4:] - V_R[:-4]) / (4 * h)
     scale = np.abs(fd1_R[1:-1]).max() + 1e-300
-    if np.abs(fd2_R - fd1_R[1:-1]).max() / scale > richardson_tol:
+    if np.abs(fd2_R - fd1_R[1:-1]).max() / scale > RICHARDSON_TOL:
         raise StrideError("centered differences disagree: stride too coarse")
 
     mid = slice(1, -1)

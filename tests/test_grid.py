@@ -23,6 +23,7 @@ from zakharov4d.grid import (
     truncation_profile,
     zero_field,
     FOURIER_NORM,
+    PHYSICAL,
     SPHERE_S3,
     SPECTRAL,
 )
@@ -76,15 +77,39 @@ class TestMakeGrid:
             make_grid(16, bad)
 
 
+def relative_l2(weights, values, exact):
+    return np.sqrt(np.sum(weights * np.abs(values - exact) ** 2)
+                   / np.sum(weights * np.abs(exact) ** 2))
+
+
 class TestTransform:
-    def test_gaussian_pair(self, grid_medium):
-        g = grid_medium
-        f = field(g, np.exp(-g.r_nodes**2 / 2))
-        spec = transform(f)
-        exact = FOURIER_NORM * np.exp(-g.rho_nodes**2 / 2)
-        num = SPHERE_S3 * np.sum(g.quad_weights_rho * np.abs(spec.values - exact) ** 2)
-        den = SPHERE_S3 * np.sum(g.quad_weights_rho * np.abs(exact) ** 2)
-        assert np.sqrt(num / den) < 1e-8
+    @pytest.mark.parametrize("n, r_max", [(64, 12.0), (512, 40.0),
+                                          (1024, 200.0)])
+    def test_gaussian_pair(self, n, r_max):
+        # both directions against the analytic pair; the transform's scalar
+        # depends on r_max and n, so the grids vary both
+        g = make_grid(n, r_max)
+        phys = np.exp(-g.r_nodes**2 / 2)
+        spec = FOURIER_NORM * np.exp(-g.rho_nodes**2 / 2)
+        forward = transform(field(g, phys))
+        backward = transform(RadialField(g, spec, SPECTRAL))
+        assert relative_l2(g.quad_weights_rho, forward.values, spec) < 1e-8
+        assert relative_l2(g.quad_weights_r, backward.values, phys) < 1e-8
+
+    def test_column_block_matches_columns(self, grid_small):
+        # a generator of its own keeps the session rng's draws for later tests
+        g, rng = grid_small, np.random.default_rng(7)
+        block = rng.standard_normal((g.n, 6)) + 1j * rng.standard_normal((g.n, 6))
+        for values in (block, block[:, ::2], block[:, 1]):
+            for apply, space in ((g.to_spectral_values, PHYSICAL),
+                                 (g.to_physical_values, SPECTRAL)):
+                out = apply(values)
+                assert out.shape == values.shape
+                cols = out.reshape(g.n, -1)
+                for k, col in enumerate(values.reshape(g.n, -1).T):
+                    ref = transform(RadialField(g, col, space)).values
+                    err = np.abs(cols[:, k] - ref).max() / np.abs(ref).max()
+                    assert err < 1e-14
 
     def test_zero_field(self, grid_small):
         z = transform(zero_field(grid_small))

@@ -9,6 +9,7 @@ covered band is reported, never silently dropped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,15 @@ DELTA_STAR = 3.0 / 7.0  # (d-1)/(2d-1) at d = 4
 
 
 def bump_profile(t: np.ndarray) -> np.ndarray:
-    """C^1 bump: 1 on t <= 1, cos^2(pi (t-1)/2) on 1 < t < 2, 0 beyond."""
+    """C^1 bump: 1 on t <= 1, cos^2(pi (t-1)/2) on 1 < t < 2, 0 beyond.
+
+    A float (numpy float64 included) takes a scalar path and returns a
+    float, which keeps pointwise integrands free of 0-d array overhead.
+    """
+    if isinstance(t, float):
+        if t <= 1.0:
+            return 1.0
+        return math.cos(math.pi * (t - 1.0) / 2.0) ** 2 if t < 2.0 else 0.0
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     out[t <= 1.0] = 1.0
@@ -39,7 +48,9 @@ def bump_profile(t: np.ndarray) -> np.ndarray:
 
 def chi0(x: np.ndarray) -> np.ndarray:
     """Annulus cutoff chi0 = bump(x) - bump(2x), supported in (1/2, 2)."""
-    return bump_profile(x) - bump_profile(2.0 * np.asarray(x, dtype=float))
+    if not isinstance(x, float):
+        x = np.asarray(x, dtype=float)
+    return bump_profile(x) - bump_profile(2.0 * x)
 
 
 def block_sum(x: np.ndarray, lo: float, hi: float) -> np.ndarray:

@@ -12,7 +12,8 @@ and in the high-high rest HH alike, form one contiguous run lo <= k <= hi;
 `_block_ranges` lists these (j, lo, hi), and the products and the kernels
 cut the k side with the telescoped `dyadic.block_sum(rho, lo, hi)`.  Kernels
 are evaluated by direct quadrature (grid nodes in |eta| times a Chebyshev
-rule in the angle), preserving radial exactness at O(n^2 n_theta) cost.
+rule in the angle), preserving radial exactness at O(n^2 n_theta) cost; only
+the angles where the cutoff on |xi - eta| can be nonzero are evaluated.
 
 The convolution carries the (2 pi)^{-4} normalization of this package's
 Fourier convention so the operators compose consistently with pointwise
@@ -174,13 +175,8 @@ class BilinearKernelSpec:
         return rho - tau**2 + sigma**2
 
 
-def _interp_complex(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    re = np.interp(x, xp, fp.real, left=0.0, right=0.0)
-    im = np.interp(x, xp, fp.imag, left=0.0, right=0.0)
-    return re + 1j * im
-
-
-_OUT_CHUNK = 96
+# rows of xi evaluated per dense (rows, sigma, angle) block
+_ROW_CHUNK = 32
 
 
 def apply_bilinear(spec: BilinearKernelSpec, f: RadialField, g: RadialField,
@@ -216,9 +212,27 @@ def apply_bilinear(spec: BilinearKernelSpec, f: RadialField, g: RadialField,
     return transform(RadialField(grid, out_spec, SPECTRAL))
 
 
+def _angle_runs(rho, sigma, nodes, t_lo, t_hi):
+    """For each pair (rho_m, sigma_s), the index run [k0, k1) of the
+    decreasing angle nodes whose tau = |xi - eta| lies in (t_lo, t_hi),
+    widened by one node on each side against rounding; k0 and k1 are
+    (n_rho, n_sigma) arrays, and k0 >= k1 marks an empty run."""
+    rr, ss = rho[:, None], sigma[None, :]
+    cos_bound = lambda t: (rr**2 + ss**2 - t**2) / (2.0 * rr * ss)
+    # tau > t_lo <=> c < cos_bound(t_lo); tau < t_hi <=> c > cos_bound(t_hi)
+    k0 = np.searchsorted(-nodes, -cos_bound(t_lo), side="right") - 1
+    k1 = np.searchsorted(-nodes, -cos_bound(t_hi), side="left") + 1
+    return np.maximum(k0, 0), np.minimum(k1, nodes.size)
+
+
 def _accumulate(spec, grid, quad, out_spec, fs, gs, f_range, g_range):
     """Add the pairs of f's blocks f_range = (lo, hi) with g's blocks
-    g_range to out_spec, skipping a side below LIVE_BLOCK_RTOL."""
+    g_range to out_spec, skipping a side below LIVE_BLOCK_RTOL.
+
+    The cutoff block_sum(tau, *f_range) vanishes off tau in (lo/2, 2 hi), so
+    each chunk of output rows is evaluated only over the bounding box of its
+    angle runs (see _angle_runs); every element left out has cut == 0.
+    """
     rho = grid.rho_nodes
     if (np.abs(fs * block_sum(rho, *f_range)).max()
             <= LIVE_BLOCK_RTOL * np.abs(fs).max()):
@@ -229,34 +243,33 @@ def _accumulate(spec, grid, quad, out_spec, fs, gs, f_range, g_range):
         return
     sigma = rho[live]
     g_w = g_vals[live] * grid.quad_weights_rho[live]
-    # triangle inequality window for |xi| given the supports (lo/2, 2 hi)
-    lo = max(f_range[0] / 2.0 - 2.0 * g_range[1], rho[0])
-    hi = min(2.0 * f_range[1] + 2.0 * g_range[1], rho[-1])
-    sel = np.nonzero((rho >= lo) & (rho <= hi))[0]
-    if sel.size == 0:
-        return
     c = quad.nodes
     wc = quad.weights
-    for start in range(0, sel.size, _OUT_CHUNK):
-        idx = sel[start:start + _OUT_CHUNK]
+    k0, k1 = _angle_runs(rho, sigma, c, f_range[0] / 2.0, 2.0 * f_range[1])
+    runs = k1 > k0
+    rows = np.nonzero(runs.any(axis=1))[0]
+    for start in range(0, rows.size, _ROW_CHUNK):
+        idx = rows[start:start + _ROW_CHUNK]
+        chunk_runs = runs[idx]
+        cols = np.nonzero(chunk_runs.any(axis=0))[0]
+        ka = np.where(chunk_runs, k0[idx], c.size).min()
+        kb = np.where(chunk_runs, k1[idx], 0).max()
         rr = rho[idx][:, None, None]
-        ss = sigma[None, :, None]
-        cc = c[None, None, :]
+        ss = sigma[cols][None, :, None]
+        cc = c[ka:kb]
         tau = np.sqrt(np.maximum(rr**2 + ss**2 - 2.0 * rr * ss * cc, 0.0))
         cut = block_sum(tau, *f_range)
         mask = cut > 0
-        if not np.any(mask):
-            continue
-        fk_tau = np.zeros(tau.shape, dtype=np.complex128)
-        fk_tau[mask] = cut[mask] * _interp_complex(tau[mask], rho, fs)
         den = spec.denominator(rr, tau, ss)
-        if np.abs(den[mask]).min() < DENOMINATOR_FLOOR:
+        if np.any(mask) and np.abs(den[mask]).min() < DENOMINATOR_FLOOR:
             raise KernelError(
                 f"{spec.kind} denominator vanished on restricted support "
                 f"(f blocks {f_range}, g blocks {g_range})")
-        integrand = np.where(mask, fk_tau / np.where(mask, den, 1.0), 0.0)
-        angular = integrand @ wc                       # -> (chunk, n_sigma)
-        out_spec[idx] += 4.0 * np.pi * (angular @ g_w)
+        fk_tau = cut * np.interp(tau, rho, fs, left=0.0, right=0.0)
+        integrand = np.divide(fk_tau, den, where=mask,
+                              out=np.zeros(tau.shape, dtype=np.complex128))
+        angular = integrand @ wc[ka:kb]                # -> (chunk, n_cols)
+        out_spec[idx] += 4.0 * np.pi * (angular @ g_w[cols])
 
 
 def omega(f: RadialField, g: RadialField, iota: float,

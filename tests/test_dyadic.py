@@ -17,6 +17,7 @@ from zakharov4d.dyadic import (
     TrajectorySamples,
     besov_norm,
     build_weight,
+    bump_profile,
     chi0,
     chi_partition_sum,
     coverage_defect,
@@ -41,6 +42,17 @@ class TestCutoff:
         assert np.all(vals[x <= 0.5] == 0)
         assert np.all(vals[x >= 2.0] == 0)
         assert np.all(vals[(x > 0.55) & (x < 1.9)] >= 0)
+
+    @pytest.mark.parametrize("scalar", [float, np.float64])
+    def test_scalar_path_matches_array(self, scalar):
+        # floats take the math.cos path; it agrees with the array path on
+        # both sides of each kink and inside the cosine ramp
+        t = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
+        bump, ann = bump_profile(t), chi0(t)
+        for i, ti in enumerate(t):
+            assert isinstance(bump_profile(scalar(ti)), float)
+            assert bump_profile(scalar(ti)) == pytest.approx(bump[i], abs=1e-15)
+            assert chi0(scalar(ti)) == pytest.approx(ann[i], abs=1e-15)
 
     def test_exact_telescoping(self):
         # partial sums telescope exactly: sum over 2^Z of chi0(x/j) = 1

@@ -3,6 +3,7 @@ import pytest
 from scipy import integrate
 
 from zakharov4d.grid import (
+    FOURIER_NORM,
     RadialField,
     SPECTRAL,
     lp_norm,
@@ -13,10 +14,12 @@ from zakharov4d.grid import (
     transform,
     zero_field,
 )
-from zakharov4d.dyadic import chi0, dyadic_blocks
+from zakharov4d.dyadic import block_sum, chi0, dyadic_blocks
 from zakharov4d.normal_form import (
+    LIVE_BLOCK_RTOL,
     AngularQuadrature,
     BilinearKernelSpec,
+    KernelError,
     NonContractionError,
     OMEGA_MINUS,
     OMEGA_PLUS,
@@ -55,6 +58,41 @@ def block_field(grid, center, width=0.25, amp=1.0):
 
 def rel_l2(a, b):
     return lp_norm(a - b, 2) / max(lp_norm(b, 2), 1e-300)
+
+
+def dense_bilinear(spec, f, g, quad):
+    """Reference for apply_bilinear: every (rho, live sigma, angle) element
+    of every side, the cutoff masking the ones off f's block support."""
+    grid = f.grid
+    rho = grid.rho_nodes
+    fs, gs = to_spectral(f).values, to_spectral(g).values
+    out = np.zeros(grid.n, dtype=complex)
+    for j, lo, hi in _block_ranges(grid, lambda j, k: _hl(j, k, spec.iota)):
+        sides = [((j, j), (lo, hi))]
+        if spec.kind == OMEGA_TILDE:
+            sides.append(((lo, hi), (j, j)))
+        for f_range, g_range in sides:
+            if (np.abs(fs * block_sum(rho, *f_range)).max()
+                    <= LIVE_BLOCK_RTOL * np.abs(fs).max()):
+                continue
+            g_vals = gs * block_sum(rho, *g_range)
+            live = np.abs(g_vals) > LIVE_BLOCK_RTOL * np.abs(gs).max()
+            sigma = rho[live][None, :, None]
+            g_w = g_vals[live] * grid.quad_weights_rho[live]
+            for rows in np.array_split(np.arange(grid.n), grid.n // 32):
+                rr = rho[rows][:, None, None]
+                tau = np.sqrt(np.maximum(
+                    rr**2 + sigma**2 - 2.0 * rr * sigma * quad.nodes, 0.0))
+                cut = block_sum(tau, *f_range)
+                fk = cut * (np.interp(tau, rho, fs.real, left=0.0, right=0.0)
+                            + 1j * np.interp(tau, rho, fs.imag, left=0.0,
+                                             right=0.0))
+                den = spec.denominator(rr, tau, sigma)
+                integrand = np.where(cut > 0, fk / np.where(cut > 0, den, 1.0),
+                                     0.0)
+                out[rows] += 4.0 * np.pi * ((integrand @ quad.weights) @ g_w)
+    spectrum = out * FOURIER_NORM**-2
+    return transform(RadialField(grid, spectrum, SPECTRAL))
 
 
 class TestAngularQuadrature:
@@ -196,6 +234,49 @@ class TestApplyBilinear:
         minus = apply_bilinear(BilinearKernelSpec(OMEGA_MINUS, 1 / 8), f, g2, quad)
         half = RadialField(kgrid, 0.5 * (plus.values + minus.values))
         assert rel_l2(om, half) < 1e-12
+
+    @pytest.mark.parametrize("n_theta", [16, 64])
+    @pytest.mark.parametrize("kind", [OMEGA_PLUS, OMEGA_MINUS, OMEGA_TILDE])
+    @pytest.mark.parametrize("grid_name", ["ogrid", "kgrid"])
+    def test_matches_dense_reference(self, request, grid_name, kind, n_theta):
+        # each factor holds a high and a low block, so the mirrored
+        # omega_tilde sides are live too; on ogrid f is broadband, so the
+        # cutoff is live up to the edges of every angle run
+        g = request.getfixturevalue(grid_name)
+        if grid_name == "ogrid":
+            broadband = 0.5 / (1 + g.rho_nodes**2) * (1 + 0.5j)
+            f = transform(RadialField(g, broadband, SPECTRAL))
+        else:
+            f = block_field(g, 40.0, 3.0) + block_field(g, 1.0, 0.4, 0.5j)
+        h = block_field(g, 24.0, 2.0, 1j) + block_field(g, 1.5, 0.4)
+        spec = BilinearKernelSpec(kind, 1 / 8)
+        quad = AngularQuadrature(n_theta)
+        out = apply_bilinear(spec, f, h, quad)
+        ref = dense_bilinear(spec, f, h, quad)
+        assert lp_norm(ref, 2) > 0
+        assert rel_l2(out, ref) < 1e-13
+
+    def test_vanishing_denominator_raises(self, ogrid, monkeypatch):
+        # f near 8 leaves j = 16 the only live high block, whose cutoff ends
+        # at tau = 32; a denominator that vanishes only on tau > 31.99 hits
+        # only the last live node of some angle runs
+        f = block_field(ogrid, 8.0, 0.8)
+        h = block_field(ogrid, 1.0, 0.4)
+        spec = BilinearKernelSpec(OMEGA_PLUS, 1 / 8)
+        quad = AngularQuadrature(16)
+        apply_bilinear(spec, f, h, quad)
+        true_den = BilinearKernelSpec.denominator
+        monkeypatch.setattr(
+            BilinearKernelSpec, "denominator",
+            lambda self, rho, tau, sigma: np.where(
+                tau > 31.99, 0.0, true_den(self, rho, tau, sigma)))
+        with pytest.raises(KernelError):
+            apply_bilinear(spec, f, h, quad)
+        monkeypatch.setattr(BilinearKernelSpec, "denominator",
+                            lambda self, rho, tau, sigma: np.zeros(tau.shape))
+        for kind in (OMEGA_MINUS, OMEGA_TILDE):
+            with pytest.raises(KernelError):
+                apply_bilinear(BilinearKernelSpec(kind, 1 / 8), f, h, quad)
 
     def test_adaptive_quadrature_oracle(self, ogrid):
         # one output node checked against an adaptive (sigma, c) integration

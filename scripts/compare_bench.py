@@ -6,8 +6,9 @@
 Runs ``bench/run.py`` (untraced) of each checkout on every workload of
 ``BENCHMARK.json`` for ``--pairs`` pairs, one process at a time, alternating
 which side runs first (pair i uses seed ``--seed + i`` on both sides).  Then
-times one ``normal_form.apply_bilinear`` call per kernel kind at each n of
-``SWEEP_N`` in each checkout, ``SWEEP_PAIRS`` times alternating, and writes
+times one ``normal_form.apply_bilinear`` call per kernel kind and one
+``normal_form.normal_transform`` call at each n of ``SWEEP_N`` in each
+checkout, ``SWEEP_PAIRS`` times alternating, and writes
 every run, the per-side medians and quartiles, the pair wins and the host
 description as one JSON file.  Each checkout's benchmark code runs on its
 own sources.
@@ -28,9 +29,10 @@ BLAS_THREADS = "2"
 SWEEP_N = [128, 256, 512, 1024, 2048]
 SWEEP_PAIRS = 3
 
-# one apply_bilinear call per kind on the nf_round_trip data family
-# (spectrum a / (1 + rho^2), r_max = 12, iota = 1/8, 16 angles); prints
-# {n: {kind: seconds}} as JSON
+# one apply_bilinear call per kind and one normal_transform call (u, N = 0.9 u)
+# on the nf_round_trip data family (spectrum a / (1 + rho^2), r_max = 12,
+# iota = 1/8, 16 angles); prints {n: {kind or "normal_transform": seconds}}
+# as JSON
 SWEEP_CODE = """
 import json, sys, time
 from zakharov4d import grid, normal_form as nf
@@ -46,6 +48,9 @@ for n in json.loads(sys.argv[1]):
         t0 = time.perf_counter()
         nf.apply_bilinear(nf.BilinearKernelSpec(kind, 0.125), u, u.conj(), quad)
         out[n][kind] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    nf.normal_transform(u, 0.9 * u, 0.125, 0.125, quad)
+    out[n]["normal_transform"] = time.perf_counter() - t0
 print(json.dumps(out))
 """
 
@@ -179,11 +184,12 @@ def main(argv=None) -> int:
               "order": "pair i runs base first when i is even, head first "
                        "when i is odd; one process at a time",
               "summary": summary, "runs": runs,
-              "apply_bilinear_sweep": {"data": "spectrum 0.5 / (1 + rho^2), "
-                                               "r_max 12, iota 1/8, 16 angles, "
-                                               "f = u, g = conj u",
-                                       "median_s": sweep_summary,
-                                       "runs": sweep}}
+              "normal_form_sweep": {"data": "spectrum 0.5 / (1 + rho^2), "
+                                            "r_max 12, iota 1/8, 16 angles; "
+                                            "apply_bilinear f = u, g = conj "
+                                            "u; normal_transform (u, 0.9 u)",
+                                    "median_s": sweep_summary,
+                                    "runs": sweep}}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -10,19 +10,28 @@ bounded away from zero, which is what buys the two-derivative gain.  `_hl`
 is the one test of HL membership.  The blocks k paired with a block j, in HL
 and in the high-high rest HH alike, form one contiguous run lo <= k <= hi;
 `_block_ranges` lists these (j, lo, hi), and the products and the kernels
-cut the k side with the telescoped `dyadic.block_sum(rho, lo, hi)`.  Kernels
-are evaluated by direct quadrature (grid nodes in |eta| times a Chebyshev
-rule in the angle), preserving radial exactness at O(n^2 n_theta) cost; only
-the angles where the cutoff on |xi - eta| can be nonzero are evaluated.
+cut the k side with the telescoped `dyadic.block_sum(rho, lo, hi)`.
+
+Kernels are evaluated by direct quadrature (grid nodes in |eta| times a
+Chebyshev rule in the angle), preserving radial exactness at O(n^2 n_theta)
+cost; only the angles where the cutoff on |xi - eta| can be nonzero are
+evaluated.  One evaluator, `_sweep`, takes a list of kernel terms and
+groups their sides by (f blocks, g blocks): each group is one pass that
+builds tau = |xi - eta|, the cutoff, the angle runs and one interpolation
+per distinct f spectrum, and each term adds only its denominator and
+weights.  `apply_bilinear` is one term; `omega` is the Omega^+ / Omega^-
+pair, where Omega^-(conj f, g) reuses f's interpolation and takes the
+conjugate angular sum; the normal-form corrections pass all three kernels,
+so at iota1 == iota2 every direct side is swept once for all of them.
 
 The convolution carries the (2 pi)^{-4} normalization of this package's
 Fourier convention so the operators compose consistently with pointwise
 products.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -179,6 +188,29 @@ class BilinearKernelSpec:
 _ROW_CHUNK = 32
 
 
+class _Term(NamedTuple):
+    """One kernel term for _sweep: spec applied to the spectra fs (read as
+    conj(fs) when conj_f) and gs, added into the spectral accumulator out."""
+
+    spec: BilinearKernelSpec
+    fs: np.ndarray
+    gs: np.ndarray
+    out: np.ndarray
+    conj_f: bool = False
+
+
+def _sides(spec: BilinearKernelSpec, grid: RadialGrid) -> list:
+    """(f_range, g_range) block ranges of every side of spec's HL pairs."""
+    sides = []
+    for j, lo, hi in _block_ranges(grid, lambda j, k: _hl(j, k, spec.iota)):
+        # f carries the high block j, g the telescoped lows
+        sides.append(((j, j), (lo, hi)))
+        if spec.kind == OMEGA_TILDE:
+            # mirrored pairs (k, j): g carries the high block, f the lows
+            sides.append(((lo, hi), (j, j)))
+    return sides
+
+
 def apply_bilinear(spec: BilinearKernelSpec, f: RadialField, g: RadialField,
                    quad: AngularQuadrature | None = None) -> RadialField:
     """Evaluate the bilinear kernel operator, returning a physical field.
@@ -188,28 +220,20 @@ def apply_bilinear(spec: BilinearKernelSpec, f: RadialField, g: RadialField,
     with the eta integral reduced to grid quadrature in sigma = |eta| and a
     Chebyshev rule in cos(theta).  The denominator is pair-independent, so
     the low-frequency side is telescoped into one block_sum cutoff per high
-    block instead of looping over individual (k, l) pairs.
+    block instead of looping over individual (k, l) pairs.  This is _sweep
+    on the one term; omega and the normal-form corrections hand _sweep
+    several terms at once so they share its geometry.
     """
-    quad = quad or AngularQuadrature()
     grid = f.grid
-    fs = to_spectral(f).values
-    gs = to_spectral(g).values
-    if not (np.any(fs) and np.any(gs)):
-        return zero_field(grid)
-
     out_spec = np.zeros(grid.n, dtype=np.complex128)
-    sides = []
-    for j, lo, hi in _block_ranges(grid, lambda j, k: _hl(j, k, spec.iota)):
-        # f carries the high block j, g the telescoped lows
-        sides.append(((j, j), (lo, hi)))
-        if spec.kind == OMEGA_TILDE:
-            # mirrored pairs (k, j): g carries the high block, f the lows
-            sides.append(((lo, hi), (j, j)))
-    for f_range, g_range in sides:
-        _accumulate(spec, grid, quad, out_spec, fs, gs, f_range, g_range)
+    _sweep(grid, quad or AngularQuadrature(), [_Term(
+        spec, to_spectral(f).values, to_spectral(g).values, out_spec)])
+    return _to_field(grid, out_spec)
 
-    out_spec *= FOURIER_NORM**-2                        # (2 pi)^{-4}
-    return transform(RadialField(grid, out_spec, SPECTRAL))
+
+def _to_field(grid: RadialGrid, out_spec: np.ndarray) -> RadialField:
+    """Physical field of an accumulated kernel spectrum, (2 pi)^{-4} applied."""
+    return transform(RadialField(grid, out_spec * FOURIER_NORM**-2, SPECTRAL))
 
 
 def _angle_runs(rho, sigma, nodes, t_lo, t_hi):
@@ -225,24 +249,54 @@ def _angle_runs(rho, sigma, nodes, t_lo, t_hi):
     return np.maximum(k0, 0), np.minimum(k1, nodes.size)
 
 
-def _accumulate(spec, grid, quad, out_spec, fs, gs, f_range, g_range):
-    """Add the pairs of f's blocks f_range = (lo, hi) with g's blocks
-    g_range to out_spec, skipping a side below LIVE_BLOCK_RTOL.
+def _sweep(grid, quad, terms):
+    """Add every term's kernel sums to its accumulator.
 
-    The cutoff block_sum(tau, *f_range) vanishes off tau in (lo/2, 2 hi), so
-    each chunk of output rows is evaluated only over the bounding box of its
+    The terms' sides are grouped by (f_range, g_range), and each group is
+    one geometry pass (_sweep_side), whatever the kernel kinds in it.
+    """
+    groups = {}
+    for term in terms:
+        for side in _sides(term.spec, grid):
+            groups.setdefault(side, []).append(term)
+    for (f_range, g_range), group in groups.items():
+        _sweep_side(grid, quad, f_range, g_range, group)
+
+
+def _sweep_side(grid, quad, f_range, g_range, terms):
+    """Add the pairs of f's blocks f_range = (lo, hi) with g's blocks
+    g_range for every term, skipping a term whose side is below
+    LIVE_BLOCK_RTOL.
+
+    The sigma columns are the union of the terms' live columns; a term's g
+    weights are zero on the columns dead for it.  The cutoff
+    block_sum(tau, *f_range) vanishes off tau in (lo/2, 2 hi), so each
+    chunk of output rows is evaluated only over the bounding box of its
     angle runs (see _angle_runs); every element left out has cut == 0.
+    tau, the cutoff, the runs and one interpolation per distinct f
+    spectrum are built once per chunk; each term adds its own denominator
+    and its real weights cut w_c / den.  A term with conj_f takes the
+    conjugate angular sum, as interp(conj fs) = conj(interp fs).
     """
     rho = grid.rho_nodes
-    if (np.abs(fs * block_sum(rho, *f_range)).max()
-            <= LIVE_BLOCK_RTOL * np.abs(fs).max()):
+    f_cut = block_sum(rho, *f_range)
+    g_cut = block_sum(rho, *g_range)
+    live_terms, live = [], np.zeros(grid.n, dtype=bool)
+    for term in terms:
+        if (np.abs(term.fs * f_cut).max()
+                <= LIVE_BLOCK_RTOL * np.abs(term.fs).max()):
+            continue
+        g_vals = term.gs * g_cut
+        term_live = np.abs(g_vals) > LIVE_BLOCK_RTOL * np.abs(term.gs).max()
+        if term_live.any():
+            live_terms.append((term, np.where(
+                term_live, g_vals * grid.quad_weights_rho, 0.0)))
+            live |= term_live
+    if not live_terms:
         return
-    g_vals = gs * block_sum(rho, *g_range)
-    live = np.nonzero(np.abs(g_vals) > LIVE_BLOCK_RTOL * np.abs(gs).max())[0]
-    if live.size == 0:
-        return
-    sigma = rho[live]
-    g_w = g_vals[live] * grid.quad_weights_rho[live]
+    cols_live = np.nonzero(live)[0]
+    sigma = rho[cols_live]
+    spectra = {id(term.fs): term.fs for term, _ in live_terms}
     c = quad.nodes
     wc = quad.weights
     k0, k1 = _angle_runs(rho, sigma, c, f_range[0] / 2.0, 2.0 * f_range[1])
@@ -256,29 +310,47 @@ def _accumulate(spec, grid, quad, out_spec, fs, gs, f_range, g_range):
         kb = np.where(chunk_runs, k1[idx], 0).max()
         rr = rho[idx][:, None, None]
         ss = sigma[cols][None, :, None]
-        cc = c[ka:kb]
-        tau = np.sqrt(np.maximum(rr**2 + ss**2 - 2.0 * rr * ss * cc, 0.0))
+        tau = np.sqrt(np.maximum(rr**2 + ss**2 - 2.0 * rr * ss * c[ka:kb],
+                                 0.0))
         cut = block_sum(tau, *f_range)
         mask = cut > 0
-        den = spec.denominator(rr, tau, ss)
-        if np.any(mask) and np.abs(den[mask]).min() < DENOMINATOR_FLOOR:
-            raise KernelError(
-                f"{spec.kind} denominator vanished on restricted support "
-                f"(f blocks {f_range}, g blocks {g_range})")
-        fk_tau = cut * np.interp(tau, rho, fs, left=0.0, right=0.0)
-        integrand = np.divide(fk_tau, den, where=mask,
-                              out=np.zeros(tau.shape, dtype=np.complex128))
-        angular = integrand @ wc[ka:kb]                # -> (chunk, n_cols)
-        out_spec[idx] += 4.0 * np.pi * (angular @ g_w[cols])
+        cut_w = cut * wc[ka:kb]
+        f_tau = {key: np.interp(tau, rho, fs, left=0.0, right=0.0)
+                 for key, fs in spectra.items()}
+        for term, g_w in live_terms:
+            den = term.spec.denominator(rr, tau, ss)
+            if np.any(mask) and np.abs(den[mask]).min() < DENOMINATOR_FLOOR:
+                raise KernelError(
+                    f"{term.spec.kind} denominator vanished on restricted "
+                    f"support (f blocks {f_range}, g blocks {g_range})")
+            weight = np.divide(cut_w, den, where=mask,
+                               out=np.zeros(tau.shape))
+            angular = np.einsum("rck,rck->rc", weight, f_tau[id(term.fs)])
+            if term.conj_f:
+                angular = angular.conj()
+            term.out[idx] += 4.0 * np.pi * (angular @ g_w[cols_live[cols]])
+
+
+def _omega_terms(fs, gs, iota, out):
+    """The Omega_iota(f, g) pair on spectra fs, gs, both into out (unhalved):
+    Omega^+(f, g) and Omega^-(conj f, g), the latter reusing fs."""
+    return [_Term(BilinearKernelSpec(OMEGA_PLUS, iota), fs, gs, out),
+            _Term(BilinearKernelSpec(OMEGA_MINUS, iota), fs, gs, out, True)]
 
 
 def omega(f: RadialField, g: RadialField, iota: float,
           quad: AngularQuadrature | None = None) -> RadialField:
-    """Omega_iota(f, g) = (1/2) Omega^+(f, g) + (1/2) Omega^-(conj f, g)."""
-    plus = apply_bilinear(BilinearKernelSpec(OMEGA_PLUS, iota), f, g, quad)
-    minus = apply_bilinear(BilinearKernelSpec(OMEGA_MINUS, iota),
-                           to_physical(f).conj(), g, quad)
-    return RadialField(f.grid, 0.5 * (plus.values + minus.values), PHYSICAL)
+    """Omega_iota(f, g) = (1/2) Omega^+(f, g) + (1/2) Omega^-(conj f, g).
+
+    Both kernels run in one _sweep over f's spectrum: they share every
+    side's geometry and f's interpolation, Omega^- taking the conjugate of
+    its angular sums instead of a second transform of conj f.
+    """
+    grid = f.grid
+    out_spec = np.zeros(grid.n, dtype=np.complex128)
+    _sweep(grid, quad or AngularQuadrature(), _omega_terms(
+        to_spectral(f).values, to_spectral(g).values, iota, out_spec))
+    return _to_field(grid, 0.5 * out_spec)
 
 
 def omega_tilde(f: RadialField, g: RadialField, iota: float,
@@ -287,9 +359,19 @@ def omega_tilde(f: RadialField, g: RadialField, iota: float,
 
 
 def _corrections(u, N, iota1, iota2, quad):
-    """(Omega_{iota1}(N, u), D Omega_tilde_{iota2}(u, conj u))."""
-    return (omega(N, u, iota1, quad),
-            op_D(omega_tilde(u, u.conj(), iota2, quad)))
+    """(Omega_{iota1}(N, u), D Omega_tilde_{iota2}(u, conj u)), all three
+    kernels in one _sweep: with iota1 == iota2 the direct sides of the
+    three share one geometry pass."""
+    grid = u.grid
+    us = to_spectral(u).values
+    omega_spec = np.zeros(grid.n, dtype=np.complex128)
+    tilde_spec = np.zeros(grid.n, dtype=np.complex128)
+    terms = _omega_terms(to_spectral(N).values, us, iota1, omega_spec)
+    terms.append(_Term(BilinearKernelSpec(OMEGA_TILDE, iota2), us,
+                       us.conj(), tilde_spec))
+    _sweep(grid, quad or AngularQuadrature(), terms)
+    return (_to_field(grid, 0.5 * omega_spec),
+            op_D(_to_field(grid, tilde_spec)))
 
 
 def normal_transform(u: RadialField, N: RadialField, iota1: float,
@@ -303,9 +385,18 @@ def normal_transform(u: RadialField, N: RadialField, iota1: float,
 
 
 class NonContractionError(RuntimeError):
-    def __init__(self, factor):
-        super().__init__(
-            f"normal-form inversion is not contracting (factor {factor:.3g})")
+    """normal_inverse gave up: the contraction factor stayed >= 1, or, when
+    budget is given, max_iter = budget iterations ran out first; factor is
+    the last one measured (inf if none was)."""
+
+    def __init__(self, factor, budget=None):
+        if budget is None:
+            msg = ("normal-form inversion is not contracting "
+                   f"(factor {factor:.3g})")
+        else:
+            msg = (f"normal-form inversion exhausted its budget of {budget} "
+                   f"iterations (last contraction factor {factor:.3g})")
+        super().__init__(msg)
         self.factor = factor
 
 
@@ -315,12 +406,14 @@ def normal_inverse(u_t: RadialField, N_t: RadialField, iota1: float,
     """Invert Psi by fixed point (phi, psi) <- (u', N') + OmegaVec(phi, psi).
 
     Raises NonContractionError once the measured per-iteration contraction
-    factor stays >= 1 for three consecutive iterations.
+    factor stays >= 1 for three consecutive iterations, and with the last
+    measured factor once max_iter iterations pass without convergence.
     """
     u_t, N_t = to_physical(u_t), to_physical(N_t)
     phi, psi = u_t.copy(), N_t.copy()
     scale = max(lp_norm(u_t, 2) + lp_norm(N_t, 2), 1e-300)
     prev_inc = None
+    factor = np.inf
     bad_streak = 0
     for iteration in range(max_iter):
         corr_u, corr_N = _corrections(phi, psi, iota1, iota2, quad)
@@ -336,7 +429,7 @@ def normal_inverse(u_t: RadialField, N_t: RadialField, iota1: float,
             if bad_streak >= 3:
                 raise NonContractionError(factor)
         prev_inc = inc
-    raise NonContractionError(np.inf if prev_inc is None else 1.0)
+    raise NonContractionError(factor, budget=max_iter)
 
 
 def angular_convergence_defect(spec: BilinearKernelSpec, f: RadialField,

@@ -27,6 +27,7 @@ from zakharov4d.normal_form import (
     angular_convergence_defect,
     apply_bilinear,
     _block_ranges,
+    _corrections,
     _hl,
     hh_product,
     hl_product,
@@ -272,11 +273,15 @@ class TestApplyBilinear:
                 tau > 31.99, 0.0, true_den(self, rho, tau, sigma)))
         with pytest.raises(KernelError):
             apply_bilinear(spec, f, h, quad)
+        with pytest.raises(KernelError):
+            normal_transform(h, f, 1 / 8, 1 / 8, quad)
         monkeypatch.setattr(BilinearKernelSpec, "denominator",
                             lambda self, rho, tau, sigma: np.zeros(tau.shape))
         for kind in (OMEGA_MINUS, OMEGA_TILDE):
             with pytest.raises(KernelError):
                 apply_bilinear(BilinearKernelSpec(kind, 1 / 8), f, h, quad)
+        with pytest.raises(KernelError):
+            normal_transform(h, f, 1 / 8, 1 / 8, quad)
 
     def test_adaptive_quadrature_oracle(self, ogrid):
         # one output node checked against an adaptive (sigma, c) integration
@@ -348,6 +353,42 @@ class TestApplyBilinear:
 
 
 class TestNormalTransform:
+    @pytest.mark.parametrize("iotas", [(1 / 8, 1 / 8), (1 / 8, 1 / 4)],
+                             ids=["equal", "unequal"])
+    @pytest.mark.parametrize("grid_name", ["ogrid", "kgrid"])
+    def test_corrections_match_dense_composition(self, request, grid_name,
+                                                 iotas):
+        # one _corrections call sweeps Omega^+, Omega^- and Omega_tilde
+        # together: at equal iotas all direct sides share their geometry, at
+        # unequal ones the Omega_tilde sides form groups of their own.  N's
+        # high blocks are complex, so Omega^-'s conjugate reuse of N's
+        # spectrum shows; u has high and low blocks, so the mirrored
+        # Omega_tilde sides are live too.
+        g = request.getfixturevalue(grid_name)
+        if grid_name == "ogrid":
+            profile = 1.0 / (1 + g.rho_nodes**2)
+            N = transform(RadialField(g, 0.5 * (1 + 0.5j) * profile,
+                                      SPECTRAL))
+            u = transform(RadialField(g, 0.45 * (1 - 0.3j) * profile,
+                                      SPECTRAL))
+        else:
+            N = block_field(g, 40.0, 3.0, 1 + 0.5j) + block_field(
+                g, 1.0, 0.4, 0.5j)
+            u = block_field(g, 24.0, 2.0, 1j) + block_field(g, 1.5, 0.4)
+        iota1, iota2 = iotas
+        quad = AngularQuadrature(16)
+        corr_u, corr_N = _corrections(u, N, iota1, iota2, quad)
+        plus = dense_bilinear(BilinearKernelSpec(OMEGA_PLUS, iota1), N, u,
+                              quad)
+        minus = dense_bilinear(BilinearKernelSpec(OMEGA_MINUS, iota1),
+                               N.conj(), u, quad)
+        ref_u = RadialField(g, 0.5 * (plus.values + minus.values))
+        ref_N = op_D(dense_bilinear(BilinearKernelSpec(OMEGA_TILDE, iota2),
+                                    u, u.conj(), quad))
+        assert lp_norm(ref_u, 2) > 0 and lp_norm(ref_N, 2) > 0
+        assert rel_l2(corr_u, ref_u) < 1e-13
+        assert rel_l2(corr_N, ref_N) < 1e-13
+
     def test_zero_wave_leaves_u(self, kgrid):
         u = block_field(kgrid, 8.0, width=0.5, amp=0.3)
         N = zero_field(kgrid)
@@ -397,6 +438,18 @@ class TestNormalTransform:
         ru, rN = normal_inverse(zero_field(kgrid), zero_field(kgrid),
                                 1 / 8, 1 / 8, quad=AngularQuadrature(8))
         assert lp_norm(ru, 2) == 0.0 and lp_norm(rN, 2) == 0.0
+
+    def test_exhausted_budget_reports_contraction(self, ogrid):
+        # broadband data that contracts but needs more than two iterations:
+        # the error carries the factor measured, not a stand-in of 1
+        g = ogrid
+        spec = (0.5 / (1 + g.rho_nodes**2)).astype(complex)
+        u = transform(RadialField(g, spec, SPECTRAL))
+        N = transform(RadialField(g, 0.9 * spec, SPECTRAL))
+        with pytest.raises(NonContractionError, match="budget of 2") as ei:
+            normal_inverse(u, N, 1 / 8, 1 / 8, max_iter=2,
+                           quad=AngularQuadrature(16))
+        assert 0.0 < ei.value.factor < 1.0
 
     def test_non_contraction_detected(self, kgrid):
         # large data at coarse separation: fixed point diverges

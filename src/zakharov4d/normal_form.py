@@ -28,6 +28,7 @@ The convolution carries the (2 pi)^{-4} normalization of this package's
 Fourier convention so the operators compose consistently with pointwise
 products.
 """
+
 from __future__ import annotations
 
 from dataclasses import dataclass

@@ -275,14 +275,17 @@ def _sweep_side(grid, quad, f_range, g_range, terms):
     chunk of output rows is evaluated only over the bounding box of its
     angle runs (see _angle_runs); every element left out has cut == 0.
     tau, the cutoff, the runs and one interpolation per distinct f
-    spectrum are built once per chunk; each term adds its own denominator
-    and its real weights cut w_c / den.  A term with conj_f takes the
+    spectrum are built once per chunk, and the terms on one spectrum run
+    right after its interpolation, so one interpolated box is held at a
+    time; each term adds its own denominator and its real weights
+    cut w_c / den.  A term with conj_f takes the
     conjugate angular sum, as interp(conj fs) = conj(interp fs).
     """
     rho = grid.rho_nodes
     f_cut = block_sum(rho, *f_range)
     g_cut = block_sum(rho, *g_range)
-    live_terms, live = [], np.zeros(grid.n, dtype=bool)
+    # live terms with their g weights, keyed by their f spectrum
+    by_f, live = {}, np.zeros(grid.n, dtype=bool)
     for term in terms:
         if (np.abs(term.fs * f_cut).max()
                 <= LIVE_BLOCK_RTOL * np.abs(term.fs).max()):
@@ -290,14 +293,13 @@ def _sweep_side(grid, quad, f_range, g_range, terms):
         g_vals = term.gs * g_cut
         term_live = np.abs(g_vals) > LIVE_BLOCK_RTOL * np.abs(term.gs).max()
         if term_live.any():
-            live_terms.append((term, np.where(
-                term_live, g_vals * grid.quad_weights_rho, 0.0)))
+            g_w = np.where(term_live, g_vals * grid.quad_weights_rho, 0.0)
+            by_f.setdefault(id(term.fs), (term.fs, []))[1].append((term, g_w))
             live |= term_live
-    if not live_terms:
+    if not by_f:
         return
     cols_live = np.nonzero(live)[0]
     sigma = rho[cols_live]
-    spectra = {id(term.fs): term.fs for term, _ in live_terms}
     c = quad.nodes
     wc = quad.weights
     k0, k1 = _angle_runs(rho, sigma, c, f_range[0] / 2.0, 2.0 * f_range[1])
@@ -315,21 +317,24 @@ def _sweep_side(grid, quad, f_range, g_range, terms):
                                  0.0))
         cut = block_sum(tau, *f_range)
         mask = cut > 0
-        cut_w = cut * wc[ka:kb]
-        f_tau = {key: np.interp(tau, rho, fs, left=0.0, right=0.0)
-                 for key, fs in spectra.items()}
-        for term, g_w in live_terms:
-            den = term.spec.denominator(rr, tau, ss)
-            if np.any(mask) and np.abs(den[mask]).min() < DENOMINATOR_FLOOR:
-                raise KernelError(
-                    f"{term.spec.kind} denominator vanished on restricted "
-                    f"support (f blocks {f_range}, g blocks {g_range})")
-            weight = np.divide(cut_w, den, where=mask,
-                               out=np.zeros(tau.shape))
-            angular = np.einsum("rck,rck->rc", weight, f_tau[id(term.fs)])
-            if term.conj_f:
-                angular = angular.conj()
-            term.out[idx] += 4.0 * np.pi * (angular @ g_w[cols_live[cols]])
+        cut *= wc[ka:kb]
+        # one weight buffer per chunk: entries off the mask stay zero
+        weight = np.zeros(tau.shape)
+        for fs, f_terms in by_f.values():
+            f_tau = np.interp(tau, rho, fs, left=0.0, right=0.0)
+            for term, g_w in f_terms:
+                den = term.spec.denominator(rr, tau, ss)
+                if (np.any(mask)
+                        and np.abs(den[mask]).min() < DENOMINATOR_FLOOR):
+                    raise KernelError(
+                        f"{term.spec.kind} denominator vanished on restricted "
+                        f"support (f blocks {f_range}, g blocks {g_range})")
+                np.divide(cut, den, where=mask, out=weight)
+                angular = np.einsum("rck,rck->rc", weight, f_tau)
+                if term.conj_f:
+                    angular = angular.conj()
+                term.out[idx] += 4.0 * np.pi * (angular
+                                                @ g_w[cols_live[cols]])
 
 
 def _omega_terms(fs, gs, iota, out):

@@ -278,8 +278,8 @@ def _sweep_side(grid, quad, f_range, g_range, terms):
     spectrum are built once per chunk, and the terms on one spectrum run
     right after its interpolation, so one interpolated box is held at a
     time; each term adds its own denominator and its real weights
-    cut w_c / den.  A term with conj_f takes the
-    conjugate angular sum, as interp(conj fs) = conj(interp fs).
+    cut w_c / den.  A term with conj_f takes the conjugate angular sum, as
+    interp(conj fs) = conj(interp fs).
     """
     rho = grid.rho_nodes
     f_cut = block_sum(rho, *f_range)

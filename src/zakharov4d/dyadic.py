@@ -5,6 +5,10 @@ The dyadic cutoff chi0 is built from a C^1 cosine-squared bump so the
 partition of unity telescopes exactly; the dyadic range is clamped to the
 grid's resolvable frequencies [rho_min, rho_max] and mass outside the
 covered band is reported, never silently dropped.
+
+A sampled trajectory is one (n, S) block of physical columns
+(`TrajectorySamples`); its space-time norm transforms the block in one
+kernel pass and takes every sample's dyadic profile in `dyadic_profile`.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import numpy as np
 
 from .grid import (
     GridError,
-    PHYSICAL,
     RadialField,
     RadialGrid,
     SPHERE_S3,
@@ -96,8 +99,7 @@ def besov_norm(f: RadialField, s: float, p: float, q: float) -> float:
     if p < 1 or q < 1:
         raise ValueError(f"Besov exponents need p, q >= 1, got p={p}, q={q}")
     spec = to_spectral(f)
-    return besov_from_spectrum(spec.values, f.grid, s, p, q,
-                               dyadic_blocks(f.grid))
+    return besov_from_spectrum(spec.values, f.grid, s, p, q)
 
 
 # -- frequency weight ---------------------------------------------------------
@@ -187,31 +189,33 @@ def weight_multiplier(f: RadialField, w: FrequencyWeight, s: float) -> RadialFie
 
 @dataclass
 class TrajectorySamples:
-    """Time-sampled radial fields along one run (role: "u" or "N")."""
+    """Physical samples of one radial field along a run, as one block.
 
+    values (n, S) holds the sample at times[k] in its column k; role names
+    the field ("u", "N", or a wave piece "N_F", "N_N", "N_D").  Consumers
+    read the columns: the X^delta norm transforms the whole block in one
+    pass, the virial rate check takes one column per sample.
+    """
+
+    grid: RadialGrid
     times: np.ndarray
-    fields: list
+    values: np.ndarray
     role: str = "u"
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        if len(self.times) != len(self.fields):
-            raise ValueError("one field per sample instant required")
-        if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
+        self.values = np.asarray(self.values, dtype=np.complex128)
+        if self.values.shape != (self.grid.n, len(self.times)):
+            raise ValueError(
+                f"sample block has shape {self.values.shape}, expected "
+                f"{(self.grid.n, len(self.times))} (grid.n, sample times)")
+        if np.any(np.diff(self.times) <= 0):
             raise ValueError("sample times must be strictly increasing")
-        grids = {f.grid for f in self.fields}
-        if len(grids) > 1:
-            raise ValueError("all trajectory fields must share one grid")
-
-    @property
-    def grid(self) -> RadialGrid:
-        return self.fields[0].grid
 
     def restricted(self, t0: float, t1: float) -> "TrajectorySamples":
         keep = (self.times >= t0) & (self.times <= t1)
-        return TrajectorySamples(self.times[keep],
-                                 [f for f, k in zip(self.fields, keep) if k],
-                                 self.role)
+        return TrajectorySamples(self.grid, self.times[keep],
+                                 self.values[:, keep], self.role)
 
 
 def _sobolev_p(inv_half_shift: float) -> float:
@@ -244,8 +248,8 @@ def spacetime_norm_X(traj: TrajectorySamples, delta: float,
     """
     s, p = xdelta_exponents(delta, dual)
     grid = traj.grid
-    terms, block_l2 = dyadic_profile(_spectra(traj.fields), grid, s, p,
-                                     dyadic_blocks(grid))
+    terms, block_l2 = dyadic_profile(grid.to_spectral_values(traj.values),
+                                     grid, s, p)
     besov = np.sqrt(np.sum(terms**2, axis=1))
     if dual:
         return float(_l2_time(traj.times, besov))
@@ -266,21 +270,23 @@ def xdelta_from_profile(times: np.ndarray, besov: np.ndarray,
 SYNTHESIS_ENTRIES = 1 << 18
 
 
-def dyadic_profile(spec: np.ndarray, grid: RadialGrid, s: float, p: float,
-                   blocks: np.ndarray) -> tuple:
+def dyadic_profile(spec: np.ndarray, grid: RadialGrid, s: float,
+                   p: float) -> tuple:
     """Dyadic profile of the spectral columns spec (n, m).
 
-    Returns (terms, block_l2), both (m, B) over the B blocks whose cutoff
-    meets the grid: terms[k, b] = j_b^s |P_{j_b} f_k|_p from one kernel
-    pass over all columns x blocks (split when larger than
-    SYNTHESIS_ENTRIES), and block_l2[k, b] = |P_{j_b} f_k|_2 by Plancherel.
+    Returns (terms, block_l2), both (m, B) over the B blocks of
+    dyadic_blocks(grid) whose cutoff meets the grid: terms[k, b] =
+    j_b^s |P_{j_b} f_k|_p from one kernel pass over all columns x blocks
+    (split when larger than SYNTHESIS_ENTRIES), and block_l2[k, b] =
+    |P_{j_b} f_k|_2 by Plancherel.
     """
     spec = spec.reshape(grid.n, -1)
     if not np.all(np.isfinite(spec)):
         raise GridError("dyadic synthesis of non-finite values")
-    cuts = chi0(grid.rho_nodes[:, None] / np.asarray(blocks)[None, :])
+    blocks = dyadic_blocks(grid)
+    cuts = chi0(grid.rho_nodes[:, None] / blocks[None, :])
     live = np.any(cuts, axis=0)
-    cuts, js = cuts[:, live], np.asarray(blocks)[live]
+    cuts, js = cuts[:, live], blocks[live]
     m, nb = spec.shape[1], len(js)
     terms = np.zeros((m, nb))
     block_l2 = np.zeros((m, nb))
@@ -303,21 +309,11 @@ def dyadic_profile(spec: np.ndarray, grid: RadialGrid, s: float, p: float,
 
 
 def besov_from_spectrum(spec_values: np.ndarray, grid: RadialGrid, s: float,
-                        p: float, q: float, blocks: np.ndarray) -> float:
-    t = dyadic_profile(spec_values, grid, s, p, blocks)[0][0]
+                        p: float, q: float) -> float:
+    t = dyadic_profile(spec_values, grid, s, p)[0][0]
     if np.isinf(q):
         return float(t.max(initial=0.0))
     return float((t**q).sum() ** (1.0 / q))
-
-
-def _spectra(fields) -> np.ndarray:
-    """Spectral values of fields as the columns of one (n, m) block, with
-    the physical ones transformed in one pass."""
-    out = np.column_stack([f.values for f in fields])
-    phys = [k for k, f in enumerate(fields) if f.space == PHYSICAL]
-    if phys:
-        out[:, phys] = fields[0].grid.to_spectral_values(out[:, phys])
-    return out
 
 
 def _l2_time(times: np.ndarray, values: np.ndarray):

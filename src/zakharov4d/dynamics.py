@@ -48,7 +48,6 @@ from .grid import (
     RadialGrid,
     SPECTRAL,
     SPHERE_S3,
-    apply_multiplier,
     gradient_norm_sq,
     lp_norm,
     op_D,
@@ -58,7 +57,6 @@ from .grid import (
 )
 from .dyadic import (
     TrajectorySamples,
-    dyadic_blocks,
     dyadic_profile,
     spacetime_norm_X,  # noqa: F401  (kept in this namespace for bench/tracing.py)
     xdelta_exponents,
@@ -101,9 +99,6 @@ class ZakharovState:
     @property
     def grid(self) -> RadialGrid:
         return self.u.grid
-
-    def copy(self) -> "ZakharovState":
-        return ZakharovState(self.u.copy(), self.N.copy(), self.t)
 
 
 @dataclass
@@ -289,7 +284,9 @@ def run(state0: ZakharovState, cfg: IntegratorConfig, t_end: float,
     exceeds the configured ceiling (past GRAD_GROWTH_FACTOR times its initial
     value it logs grad_growth_5x).  Errors become events, never raises.
     `stop_when(log) -> bool`, checked at monitor instants, allows early exit
-    (verdict already established).
+    (verdict already established).  With store_every > 0, u and N at t0 and
+    every store_every accepted steps are kept as physical columns and stacked
+    once, at the end, into the (n, S) blocks log.traj_u and log.traj_N.
     """
     if t_end <= state0.t:
         raise ValueError("t_end must exceed the initial time")
@@ -306,10 +303,8 @@ def run(state0: ZakharovState, cfg: IntegratorConfig, t_end: float,
     grad_ceiling = cfg.grad_ceiling_factor * max(log.grad_u[0], 1e-12)
 
     store = cfg.store_every > 0
-    if store:
-        times_s = [t]
-        fields_u = [phys[0].copy()]
-        fields_N = [phys[1].copy()]
+    if store:            # physical columns of u and N at the store instants
+        times_s, cols_u, cols_N = [t], [phys[0].values], [phys[1].values]
 
     k = 0
     while t < t_end - 1e-12:
@@ -342,8 +337,8 @@ def run(state0: ZakharovState, cfg: IntegratorConfig, t_end: float,
             phys = prop.fields(u, N)
         if store_now:
             times_s.append(t)
-            fields_u.append(phys[0])
-            fields_N.append(phys[1])
+            cols_u.append(phys[0].values)
+            cols_N.append(phys[1].values)
         if monitor_now:
             _monitor(log, *phys, _grad_sq(grid, u), t, dt_step, cfg)
             if log.grad_u[-1] > grad_ceiling:
@@ -359,8 +354,10 @@ def run(state0: ZakharovState, cfg: IntegratorConfig, t_end: float,
                 break
 
     if store:
-        log.traj_u = TrajectorySamples(np.array(times_s), fields_u, "u")
-        log.traj_N = TrajectorySamples(np.array(times_s), fields_N, "N")
+        log.traj_u = TrajectorySamples(grid, times_s, np.column_stack(cols_u),
+                                       "u")
+        log.traj_N = TrajectorySamples(grid, times_s, np.column_stack(cols_N),
+                                       "N")
     if phys is None:
         phys = prop.fields(u, N)
     log.final_state = ZakharovState(phys[0].copy(), phys[1].copy(), t)
@@ -380,35 +377,37 @@ class WaveDecomposition:
     sup_L2_duhamel: float
 
 
-def decompose_N(traj_u: TrajectorySamples, traj_N: TrajectorySamples,
-                iota: float, quad=None) -> WaveDecomposition:
-    """Split N = N_F + N_N + N_D along a stored trajectory.
+def decompose_N(log: RunLog, iota: float, quad=None) -> WaveDecomposition:
+    """Split N = N_F + N_N + N_D along the trajectory a run stored.
 
-    N_N(t) = D Omega_tilde_iota(u, conj u); N_F propagates N(0) - N_N(0) by
-    the free half-wave flow; N_D is the remainder (the Duhamel content).
+    N_N(t) = D Omega_tilde_iota(u, conj u), one kernel evaluation per
+    sample; N_F propagates N(0) - N_N(0) by the free half-wave flow, all
+    samples as one phase block and one kernel pass; N_D is the remainder
+    (the Duhamel content).  A run without a stored trajectory, or with the
+    sponge on (the free flow would put its damping into N_D), is refused.
     """
-    if not np.array_equal(traj_u.times, traj_N.times):
-        raise ValueError("u and N trajectories must share sample times")
-    grid = traj_u.grid
-    t0 = traj_u.times[0]
-    nn_fields = [op_D(omega_tilde(uf, uf.conj(), iota, quad))
-                 for uf in traj_u.fields]
-    seed = RadialField(grid,
-                       traj_N.fields[0].values - nn_fields[0].values)
-    nf_fields = [apply_multiplier(seed,
-                                  np.exp(1j * (t - t0) * grid.rho_nodes))
-                 for t in traj_u.times]
-    nd_fields = [RadialField(grid, N.values - f.values - b.values)
-                 for N, f, b in zip(traj_N.fields, nf_fields, nn_fields)]
-    times = traj_u.times
+    if log.traj_u is None:
+        raise ValueError("the run stored no trajectory (store_every = 0)")
+    if log.sponge_active:
+        raise ValueError("the run had the sponge on, which the free "
+                         "half-wave flow of N_F does not model")
+    grid, times = log.traj_u.grid, log.traj_u.times
+    nn = np.column_stack([
+        op_D(omega_tilde(RadialField(grid, u), RadialField(grid, u.conj()),
+                         iota, quad)).values
+        for u in log.traj_u.values.T])
+    N = log.traj_N.values
+    seed = grid.to_spectral_values(N[:, 0] - nn[:, 0])
+    phases = np.exp(1j * np.outer(grid.rho_nodes, times - times[0]))
+    nf = grid.to_physical_values(seed[:, None] * phases)
+    nd = N - nf - nn
+    sup_f, sup_b, sup_d = (max(lp_norm(RadialField(grid, c), 2) for c in v.T)
+                           for v in (nf, nn, nd))
     return WaveDecomposition(
-        free=TrajectorySamples(times, nf_fields, "N_F"),
-        bilinear=TrajectorySamples(times, nn_fields, "N_N"),
-        duhamel=TrajectorySamples(times, nd_fields, "N_D"),
-        sup_L2_free=max(lp_norm(f, 2) for f in nf_fields),
-        sup_L2_bilinear=max(lp_norm(f, 2) for f in nn_fields),
-        sup_L2_duhamel=max(lp_norm(f, 2) for f in nd_fields),
-    )
+        free=TrajectorySamples(grid, times, nf, "N_F"),
+        bilinear=TrajectorySamples(grid, times, nn, "N_N"),
+        duhamel=TrajectorySamples(grid, times, nd, "N_D"),
+        sup_L2_free=sup_f, sup_L2_bilinear=sup_b, sup_L2_duhamel=sup_d)
 
 
 # -- Strichartz probe ----------------------------------------------------------
@@ -480,7 +479,6 @@ def strichartz_probe(grid: RadialGrid, family: dict, delta: float,
                for _ in range(ensemble_size)]
     prop = _Propagator(grid, IntegratorConfig(dt=dt, mode=LINEAR_POTENTIAL))
     u, V = prop.load(np.column_stack(members), V0.values)
-    blocks = dyadic_blocks(grid)
 
     # t accumulates step by step exactly as in run(), so each horizon keeps
     # the same samples as a restriction of run()'s stored trajectory
@@ -490,7 +488,7 @@ def strichartz_probe(grid: RadialGrid, family: dict, delta: float,
         if k % PROBE_STORE_EVERY == 0:
             if not np.all(np.isfinite(u)):
                 raise BlowupError(f"non-finite probe state at t={t:g}")
-            terms, l2 = dyadic_profile(u, grid, s, p, blocks)
+            terms, l2 = dyadic_profile(u, grid, s, p)
             times.append(t)
             besov.append(np.sqrt(np.sum(terms**2, axis=1)))
             block_l2.append(l2)

@@ -262,8 +262,8 @@ def field(grid: RadialGrid, values, space: str = PHYSICAL) -> RadialField:
     return RadialField(grid, np.asarray(values), space)
 
 
-def zero_field(grid: RadialGrid, space: str = PHYSICAL) -> RadialField:
-    return RadialField(grid, np.zeros(grid.n, dtype=np.complex128), space)
+def zero_field(grid: RadialGrid) -> RadialField:
+    return RadialField(grid, np.zeros(grid.n, dtype=np.complex128))
 
 
 def _same_grid(f: RadialField, g: RadialField):

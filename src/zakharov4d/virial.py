@@ -82,11 +82,6 @@ class VirialWeights:
         self.A_dp2_lap_psi = x_dlap + (D + 1) * lap_psi
         self.lap_f0 = (-1.5 * D) * psi**3.5 + 5.25 * x**2 * psi**5.5
 
-    def fields(self):
-        return {name: getattr(self, name)
-                for name in ("psi", "f0", "f1", "f2", "f3", "f4", "f5",
-                             "h", "La")}
-
     def defining_relation_residuals(self) -> dict:
         """Closed-form vs closed-form residuals (exact up to roundoff)."""
         res = {
@@ -271,11 +266,15 @@ def rate_check(traj_u, traj_N, weights: VirialWeights) -> RateCheckReport:
     """Compare centered-difference dV_R/dt with NS + QN + CC along a stored
     trajectory (and dV_inf/dt with the flat-space rate).
 
-    Requires a uniform stride; a stride too coarse for O(dt^2) accuracy is
-    detected by comparing the 1-stride and 2-stride centered differences
-    (Richardson disagreement above RICHARDSON_TOL raises StrideError).
+    traj_u and traj_N are TrajectorySamples on the same sample times; each
+    pair of columns is one virial_values evaluation.  Requires a uniform
+    stride; a stride too coarse for O(dt^2) accuracy is detected by
+    comparing the 1-stride and 2-stride centered differences (Richardson
+    disagreement above RICHARDSON_TOL raises StrideError).
     """
     times = traj_u.times
+    if not np.array_equal(times, traj_N.times):
+        raise ValueError("u and N trajectories must share sample times")
     if len(times) < 5:
         raise ValueError("rate check needs at least 5 stored samples")
     dt = np.diff(times)
@@ -283,8 +282,9 @@ def rate_check(traj_u, traj_N, weights: VirialWeights) -> RateCheckReport:
         raise ValueError("rate check needs a uniform trajectory stride")
     h = dt[0]
 
-    breakdown = [virial_values(uu, NN, weights)
-                 for uu, NN in zip(traj_u.fields, traj_N.fields)]
+    breakdown = [virial_values(RadialField(traj_u.grid, uu),
+                               RadialField(traj_N.grid, NN), weights)
+                 for uu, NN in zip(traj_u.values.T, traj_N.values.T)]
     V_R = np.array([b.V_R for b in breakdown])
     V_inf = np.array([b.V_inf for b in breakdown])
     rate_R = np.array([b.rate_R for b in breakdown])

@@ -254,7 +254,8 @@ class TestSpacetimeNorm:
     def make_const_traj(self, grid, rng, duration=2.0, samples=21):
         f = band_limited(grid, rng)
         times = np.linspace(0.0, duration, samples)
-        return f, TrajectorySamples(times, [f] * samples)
+        block = np.repeat(f.values[:, None], samples, axis=1)
+        return f, TrajectorySamples(grid, times, block)
 
     def test_constant_trajectory_factorizes(self, grid_small, rng):
         delta = 0.2
@@ -266,7 +267,8 @@ class TestSpacetimeNorm:
 
     def test_zero_trajectory(self, grid_small):
         times = np.linspace(0, 1, 5)
-        traj = TrajectorySamples(times, [zero_field(grid_small)] * 5)
+        traj = TrajectorySamples(grid_small, times,
+                                 np.zeros((grid_small.n, 5)))
         assert spacetime_norm_X(traj, 0.0) == 0.0
 
     def test_time_restriction_monotone(self, grid_small, rng):
@@ -277,12 +279,13 @@ class TestSpacetimeNorm:
 
     def test_homogeneous(self, grid_small, rng):
         f, traj = self.make_const_traj(grid_small, rng)
-        scaled = TrajectorySamples(traj.times, [3.0 * g for g in traj.fields])
+        scaled = TrajectorySamples(grid_small, traj.times, 3.0 * traj.values)
         assert spacetime_norm_X(scaled, 0.1) == pytest.approx(
             3.0 * spacetime_norm_X(traj, 0.1), rel=1e-12)
 
     def test_delta_range_enforced(self, grid_small):
-        traj = TrajectorySamples([0.0], [zero_field(grid_small)])
+        traj = TrajectorySamples(grid_small, [0.0],
+                                 np.zeros((grid_small.n, 1)))
         for bad in (-0.1, DELTA_STAR, 0.9):
             with pytest.raises(ValueError):
                 spacetime_norm_X(traj, bad)
@@ -295,8 +298,13 @@ class TestSpacetimeNorm:
                                     rel=1e-10)
 
     def test_rejects_unsorted_times(self, grid_small):
+        n = grid_small.n
         with pytest.raises(ValueError):
-            TrajectorySamples([0.0, 0.0], [zero_field(grid_small)] * 2)
+            TrajectorySamples(grid_small, [0.0, 0.0], np.zeros((n, 2)))
+        # the block must be (grid.n, len(times))
+        for shape in ((n, 3), (n - 1, 2), (2, n), (n,)):
+            with pytest.raises(ValueError):
+                TrajectorySamples(grid_small, [0.0, 1.0], np.zeros(shape))
 
 
 def _cl_inf(f):

@@ -29,7 +29,7 @@ from zakharov4d.dynamics import (
     step,
     strichartz_probe,
 )
-from zakharov4d.normal_form import AngularQuadrature
+from zakharov4d.normal_form import AngularQuadrature, omega_tilde
 from zakharov4d.variational import (
     ES_W_EXACT,
     gaussian_field,
@@ -173,8 +173,9 @@ class TestRun:
         drift = max(abs(e - log.energy_Z[0]) for e in log.energy_Z)
         assert drift / abs(log.energy_Z[0]) < 1e-3
         sides = set()
-        for uu, NN in zip(log.traj_u.fields, log.traj_N.fields):
-            rep = functionals(uu, NN)
+        g = grid_small
+        for uu, NN in zip(log.traj_u.values.T, log.traj_N.values.T):
+            rep = functionals(RadialField(g, uu), RadialField(g, NN))
             if rep.energy_Z < ES_W_EXACT:
                 sides.add(rep.classification)
         assert len(sides) == 1
@@ -250,6 +251,18 @@ class TestGroundStateOrbit:
         assert du < 0.01 and dN < 0.01
 
 
+@pytest.fixture(scope="module")
+def small_data_log():
+    g = make_grid(256, 20.0)
+    rng = np.random.default_rng(7)
+    u0 = 0.1 * band_limited_unit_field(g, rng, band=(0.05, 0.3))
+    N0 = gaussian_field(g, 0.4, 2.0)
+    state = ZakharovState(u0, N0)
+    cfg = IntegratorConfig(dt=2e-3, mode=FULL, store_every=50,
+                           monitor_every=50)
+    return run(state, cfg, 0.4)
+
+
 class TestDecomposeN:
     def test_zero_u_pure_free_wave(self, grid_small):
         g = grid_small
@@ -258,38 +271,55 @@ class TestDecomposeN:
         cfg = IntegratorConfig(dt=5e-3, mode=FULL, store_every=10,
                                monitor_every=10)
         log = run(state, cfg, 0.5)
-        dec = decompose_N(log.traj_u, log.traj_N, 1 / 8,
-                          AngularQuadrature(8))
+        dec = decompose_N(log, 1 / 8, AngularQuadrature(8))
         assert dec.sup_L2_bilinear < 1e-12
         assert dec.sup_L2_duhamel < 1e-9
         # free-wave flow is unitary: |N_F(t)|_2 constant
-        norms = [lp_norm(f, 2) for f in dec.free.fields]
+        norms = [lp_norm(RadialField(g, f), 2) for f in dec.free.values.T]
         assert max(norms) - min(norms) < 1e-10 * max(norms)
 
-    def test_small_data_hierarchy_and_iota_trend(self):
-        g = make_grid(256, 20.0)
-        rng = np.random.default_rng(7)
-        u0 = 0.1 * band_limited_unit_field(g, rng, band=(0.05, 0.3))
-        N0 = gaussian_field(g, 0.4, 2.0)
-        state = ZakharovState(u0, N0)
-        cfg = IntegratorConfig(dt=2e-3, mode=FULL, store_every=50,
-                               monitor_every=50)
-        log = run(state, cfg, 0.4)
+    def test_small_data_hierarchy_and_iota_trend(self, small_data_log):
+        log = small_data_log
         quad = AngularQuadrature(12)
-        dec_coarse = decompose_N(log.traj_u, log.traj_N, 1 / 4, quad)
-        dec_fine = decompose_N(log.traj_u, log.traj_N, 1 / 16, quad)
+        dec_coarse = decompose_N(log, 1 / 4, quad)
+        dec_fine = decompose_N(log, 1 / 16, quad)
         for dec in (dec_coarse, dec_fine):
             assert (dec.sup_L2_bilinear + dec.sup_L2_duhamel
                     < 0.2 * dec.sup_L2_free)
         assert dec_fine.sup_L2_bilinear < dec_coarse.sup_L2_bilinear + 1e-12
 
-    def test_mismatched_times_rejected(self, grid_small):
-        from zakharov4d.dyadic import TrajectorySamples
-        f = gaussian_field(grid_small, 0.1, 1.0)
-        tu = TrajectorySamples([0.0, 1.0], [f, f], "u")
-        tN = TrajectorySamples([0.0, 2.0], [f, f], "N")
-        with pytest.raises(ValueError):
-            decompose_N(tu, tN, 1 / 8)
+    def test_decompose_matches_per_sample_reference(self, small_data_log):
+        # per-sample formulas: N_N = D Omega_tilde(u, conj u), N_F by the
+        # half-wave multiplier on each sample, N_D the remainder
+        log = small_data_log
+        quad = AngularQuadrature(12)
+        dec = decompose_N(log, 1 / 4, quad)
+        g, times = log.traj_u.grid, log.traj_u.times
+        us = [RadialField(g, c) for c in log.traj_u.values.T]
+        Ns = [RadialField(g, c) for c in log.traj_N.values.T]
+        nn = [op_D(omega_tilde(u, u.conj(), 1 / 4, quad)) for u in us]
+        seed = Ns[0] - nn[0]
+        nf = [apply_multiplier(seed, np.exp(1j * (t - times[0]) * g.rho_nodes))
+              for t in times]
+        nd = [N - f - b for N, f, b in zip(Ns, nf, nn)]
+        for traj, ref in ((dec.free, nf), (dec.bilinear, nn),
+                          (dec.duhamel, nd)):
+            ref = np.column_stack([f.values for f in ref])
+            assert np.array_equal(traj.times, times)
+            err = np.abs(traj.values - ref).max() / np.abs(ref).max()
+            assert err < 1e-12, traj.role
+        assert dec.sup_L2_free == pytest.approx(
+            max(lp_norm(f, 2) for f in nf), rel=1e-12)
+
+    def test_refuses_sponge_and_unstored_runs(self, grid_small):
+        state = gaussian_state(grid_small)
+        for cfg, reason in (
+                (IntegratorConfig(dt=1e-2, sponge=True, store_every=5),
+                 "sponge"),
+                (IntegratorConfig(dt=1e-2, store_every=0), "no trajectory")):
+            log = run(state, cfg, 0.1)
+            with pytest.raises(ValueError, match=reason):
+                decompose_N(log, 1 / 8, AngularQuadrature(8))
 
 
 class TestScatteringDiagnostics:

@@ -10,7 +10,7 @@ from zakharov4d.grid import (
     make_grid,
     transform,
 )
-from zakharov4d.dyadic import chi0
+from zakharov4d.dyadic import TrajectorySamples, chi0
 from zakharov4d.dynamics import FULL, FREE, IntegratorConfig, ZakharovState, run
 from zakharov4d.variational import (
     W4_4_EXACT,
@@ -228,17 +228,16 @@ class TestRateCheck:
         # with N = 0 the nu-terms cancel the quartic part of K exactly:
         # rate_inf = 4 K + |u|_4^4 + 3 |u|_4^4 = 4 |grad u|_2^2
         from zakharov4d.grid import gradient_norm_sq
-        grads = np.array([4 * gradient_norm_sq(uu)
-                          for uu in log.traj_u.fields[1:-1]])
+        grads = np.array([4 * gradient_norm_sq(RadialField(g, uu))
+                          for uu in log.traj_u.values.T[1:-1]])
         assert np.allclose(rep.rate_inf, grads, rtol=1e-8)
 
     def test_static_state_rates_near_zero(self, wgrid, weights10):
-        from zakharov4d.dyadic import TrajectorySamples
-        wt = w_field(wgrid, truncated=True)
-        wsq = RadialField(wgrid, wt.values**2)
+        wt = w_field(wgrid, truncated=True).values
         times = np.linspace(0, 0.04, 6)
-        tu = TrajectorySamples(times, [wt] * 6, "u")
-        tN = TrajectorySamples(times, [wsq] * 6, "N")
+        tu = TrajectorySamples(wgrid, times, np.repeat(wt[:, None], 6, 1), "u")
+        tN = TrajectorySamples(wgrid, times, np.repeat(wt[:, None] ** 2, 6, 1),
+                               "N")
         rep = rate_check(tu, tN, weights10)
         assert np.abs(rep.fd_V_R).max() < 1e-10
         assert np.abs(rep.rate_R).max() < 0.01 * 4 * W4_4_EXACT
@@ -256,11 +255,21 @@ class TestRateCheck:
             rate_check(log.traj_u, log.traj_N, VirialWeights(g, 10.0))
 
     def test_too_few_samples(self, wgrid, weights10):
-        from zakharov4d.dyadic import TrajectorySamples
-        wt = w_field(wgrid, truncated=True)
-        tu = TrajectorySamples([0.0, 0.1], [wt] * 2, "u")
+        wt = w_field(wgrid, truncated=True).values
+        tu = TrajectorySamples(wgrid, [0.0, 0.1], np.repeat(wt[:, None], 2, 1),
+                               "u")
         with pytest.raises(ValueError):
             rate_check(tu, tu, weights10)
+
+    def test_mismatched_times_rejected(self, smooth_run):
+        # same columns, N's times shifted by a quarter stride: the pairs
+        # would be matched at the wrong instants
+        g, log = smooth_run
+        tN = log.traj_N
+        shifted = TrajectorySamples(g, tN.times + 0.25 * np.diff(tN.times)[0],
+                                    tN.values, "N")
+        with pytest.raises(ValueError, match="share sample times"):
+            rate_check(log.traj_u, shifted, VirialWeights(g, 10.0))
 
 
 class TestLeadingTermBound:
@@ -271,7 +280,8 @@ class TestLeadingTermBound:
         g, log = smooth_run
         w = VirialWeights(g, 10.0)
         cs_sq = 1.0 / np.sqrt(W4_4_EXACT)
-        for uu, NN in zip(log.traj_u.fields, log.traj_N.fields):
+        for uu, NN in zip(log.traj_u.values.T, log.traj_N.values.T):
+            uu, NN = RadialField(g, uu), RadialField(g, NN)
             rep = functionals(uu, NN)
             eps = ES_W_EXACT - rep.energy_Z
             if eps <= 0 or rep.K < 0:
@@ -297,9 +307,9 @@ class TestL4Tail:
         log = run(ZakharovState(u0, N0), cfg, T)
         R = 10.0
         w = VirialWeights(g, R)
-        tail = [2 * np.pi**2 * np.sum(g.quad_weights_r * np.abs(uu.values) ** 4
+        tail = [2 * np.pi**2 * np.sum(g.quad_weights_r * np.abs(uu) ** 4
                                       * w.La)
-                for uu in log.traj_u.fields]
+                for uu in log.traj_u.values.T]
         grad_max = max(np.asarray(log.grad_u))
         slope = (max(tail) - tail[0]) * R**2 / T
         assert slope <= 10.0 * grad_max**4

@@ -209,7 +209,7 @@ class TrajectorySamples:
             raise ValueError(
                 f"sample block has shape {self.values.shape}, expected "
                 f"{(self.grid.n, len(self.times))} (grid.n, sample times)")
-        if np.any(np.diff(self.times) <= 0):
+        if not np.all(np.diff(self.times) > 0):
             raise ValueError("sample times must be strictly increasing")
 
     def restricted(self, t0: float, t1: float) -> "TrajectorySamples":

@@ -299,8 +299,9 @@ class TestSpacetimeNorm:
 
     def test_rejects_unsorted_times(self, grid_small):
         n = grid_small.n
-        with pytest.raises(ValueError):
-            TrajectorySamples(grid_small, [0.0, 0.0], np.zeros((n, 2)))
+        for times in ([0.0, 0.0], [0.0, np.nan]):
+            with pytest.raises(ValueError):
+                TrajectorySamples(grid_small, times, np.zeros((n, 2)))
         # the block must be (grid.n, len(times))
         for shape in ((n, 3), (n - 1, 2), (2, n), (n,)):
             with pytest.raises(ValueError):

@@ -6,11 +6,13 @@
 Runs ``bench/run.py`` (untraced) of each checkout on every workload of
 ``BENCHMARK.json`` for ``--pairs`` pairs, one process at a time, alternating
 which side runs first (pair i uses seed ``--seed + i`` on both sides).  Then
-times one ``normal_form.apply_bilinear`` call per kernel kind and one
-``normal_form.normal_transform`` call at each n of ``SWEEP_N`` in each
-checkout, ``SWEEP_PAIRS`` times alternating, and writes
-every run, the per-side medians and quartiles, the pair wins and the host
-description as one JSON file.  Each checkout's benchmark code runs on its
+times one ``normal_form.apply_bilinear`` call per kernel kind, one
+``normal_form.normal_transform`` call and one transform + inverse round trip
+(with its count of ``normal_form._corrections`` calls) at each n of
+``SWEEP_N``, and one ``dynamics.decompose_N`` of a 21-sample run, in each
+checkout, ``SWEEP_PAIRS`` times alternating, and writes every run, the
+per-side medians and quartiles, the pair wins and the host description as
+one JSON file.  Each checkout's benchmark code runs on its
 own sources.
 """
 
@@ -29,13 +31,23 @@ BLAS_THREADS = "2"
 SWEEP_N = [128, 256, 512, 1024, 2048]
 SWEEP_PAIRS = 3
 
-# one apply_bilinear call per kind and one normal_transform call (u, N = 0.9 u)
-# on the nf_round_trip data family (spectrum a / (1 + rho^2), r_max = 12,
-# iota = 1/8, 16 angles); prints {n: {kind or "normal_transform": seconds}}
-# as JSON
+# one apply_bilinear call per kind, one normal_transform call (u, N = 0.9 u)
+# and one transform + normal_inverse round trip on the nf_round_trip data
+# family (spectrum a / (1 + rho^2), r_max = 12, iota = 1/8, 16 angles), the
+# round trip's _corrections calls counted; then one decompose_N of the
+# small-data run (n 256, r_max 20, 21 stored samples, iota 1/4, 12 angles).
+# Prints {n: {kind, "normal_transform" or "round_trip": seconds,
+# "corrections_calls": count}, "decompose_N": seconds} as JSON
 SWEEP_CODE = """
 import json, sys, time
-from zakharov4d import grid, normal_form as nf
+import numpy as np
+from zakharov4d import dynamics, grid, normal_form as nf, variational
+calls = [0]
+corrections = nf._corrections
+def counted(*args):
+    calls[0] += 1
+    return corrections(*args)
+nf._corrections = counted
 out = {}
 for n in json.loads(sys.argv[1]):
     g = grid.make_grid(n, 12.0)
@@ -51,6 +63,22 @@ for n in json.loads(sys.argv[1]):
     t0 = time.perf_counter()
     nf.normal_transform(u, 0.9 * u, 0.125, 0.125, quad)
     out[n]["normal_transform"] = time.perf_counter() - t0
+    calls[0] = 0
+    t0 = time.perf_counter()
+    tu, tN = nf.normal_transform(u, 0.9 * u, 0.125, 0.125, quad)
+    nf.normal_inverse(tu, tN, 0.125, 0.125, quad=quad)
+    out[n]["round_trip"] = time.perf_counter() - t0
+    out[n]["corrections_calls"] = calls[0]
+g = grid.make_grid(256, 20.0)
+u0 = 0.1 * dynamics.band_limited_unit_field(g, np.random.default_rng(7),
+                                            band=(0.05, 0.3))
+state = dynamics.ZakharovState(u0, variational.gaussian_field(g, 0.4, 2.0))
+cfg = dynamics.IntegratorConfig(dt=2e-3, mode=dynamics.FULL, store_every=10,
+                                monitor_every=10)
+log = dynamics.run(state, cfg, 0.4)
+t0 = time.perf_counter()
+dynamics.decompose_N(log, 0.25, nf.AngularQuadrature(12))
+out["decompose_N"] = time.perf_counter() - t0
 print(json.dumps(out))
 """
 
@@ -178,6 +206,8 @@ def main(argv=None) -> int:
                         for s in sides}
                  for kind in sweep["head"][0][str(n)]}
         for n in SWEEP_N}
+    sweep_summary["decompose_N"] = {
+        s: statistics.median(r["decompose_N"] for r in sweep[s]) for s in sides}
 
     record = {"host": host(), "run_seconds": seconds,
               "commits": {s: commit_of(p) for s, p in sides.items()},
@@ -187,7 +217,10 @@ def main(argv=None) -> int:
               "normal_form_sweep": {"data": "spectrum 0.5 / (1 + rho^2), "
                                             "r_max 12, iota 1/8, 16 angles; "
                                             "apply_bilinear f = u, g = conj "
-                                            "u; normal_transform (u, 0.9 u)",
+                                            "u; normal_transform and the "
+                                            "round trip (u, 0.9 u); "
+                                            "decompose_N n 256, 21 "
+                                            "samples, iota 1/4, 12 angles",
                                     "median_s": sweep_summary,
                                     "runs": sweep}}
     args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -50,7 +50,6 @@ from .grid import (
     SPHERE_S3,
     gradient_norm_sq,
     lp_norm,
-    op_D,
     smooth_transition,
     to_physical,
     transform,
@@ -62,7 +61,7 @@ from .dyadic import (
     xdelta_exponents,
     xdelta_from_profile,
 )
-from .normal_form import omega_tilde
+from .normal_form import omega_tilde_self_spectra
 from .variational import nehari_K, w_profile, zakharov_energy
 
 FULL = "full"
@@ -380,8 +379,8 @@ class WaveDecomposition:
 def decompose_N(log: RunLog, iota: float, quad=None) -> WaveDecomposition:
     """Split N = N_F + N_N + N_D along the trajectory a run stored.
 
-    N_N(t) = D Omega_tilde_iota(u, conj u), one kernel evaluation per
-    sample; N_F propagates N(0) - N_N(0) by the free half-wave flow, all
+    N_N(t) = D Omega_tilde_iota(u, conj u), all samples in one kernel
+    sweep and one spectral -> physical pass; N_F propagates N(0) - N_N(0) by the free half-wave flow, all
     samples as one phase block and one kernel pass; N_D is the remainder
     (the Duhamel content).  A run without a stored trajectory, or with the
     sponge on (the free flow would put its damping into N_D), is refused.
@@ -392,10 +391,9 @@ def decompose_N(log: RunLog, iota: float, quad=None) -> WaveDecomposition:
         raise ValueError("the run had the sponge on, which the free "
                          "half-wave flow of N_F does not model")
     grid, times = log.traj_u.grid, log.traj_u.times
-    nn = np.column_stack([
-        op_D(omega_tilde(RadialField(grid, u), RadialField(grid, u.conj()),
-                         iota, quad)).values
-        for u in log.traj_u.values.T])
+    nn = grid.to_physical_values(grid.rho_nodes[:, None] * (
+        omega_tilde_self_spectra(
+            grid, grid.to_spectral_values(log.traj_u.values), iota, quad)))
     N = log.traj_N.values
     seed = grid.to_spectral_values(N[:, 0] - nn[:, 0])
     phases = np.exp(1j * np.outer(grid.rho_nodes, times - times[0]))

@@ -16,13 +16,19 @@ Kernels are evaluated by direct quadrature (grid nodes in |eta| times a
 Chebyshev rule in the angle), preserving radial exactness at O(n^2 n_theta)
 cost; only the angles where the cutoff on |xi - eta| can be nonzero are
 evaluated.  One evaluator, `_sweep`, takes a list of kernel terms and
-groups their sides by (f blocks, g blocks): each group is one pass that
-builds tau = |xi - eta|, the cutoff, the angle runs and one interpolation
-per distinct f spectrum, and each term adds only its denominator and
-weights.  `apply_bilinear` is one term; `omega` is the Omega^+ / Omega^-
-pair, where Omega^-(conj f, g) reuses f's interpolation and takes the
-conjugate angular sum; the normal-form corrections pass all three kernels,
-so at iota1 == iota2 every direct side is swept once for all of them.
+groups them by HL range (j, lo, hi): each group is one pass that builds
+tau = |xi - eta| with the cutoff on block j, the angle runs and one
+interpolation per distinct high-block spectrum, and each term adds only its
+denominator and weights.  Omega_tilde also pairs f's low blocks with g's
+high block j; these mirrored pairs are read after eta -> xi - eta, so g is
+the factor interpolated at tau and f's lows sit on the sigma grid, and
+they join the direct group of the same range as one more term, with the
+denominator's tau and sigma swapped.  `apply_bilinear` is one kernel;
+`omega` is the Omega^+ / Omega^- pair, where Omega^-(conj f, g) reuses f's
+interpolation and takes the conjugate angular sum; the normal-form
+corrections pass all three kernels, so at iota1 == iota2 each HL range is
+swept once for all of them, and the mirrored Omega_tilde(u, conj u) term
+reads conj u off u's interpolation the same way.
 
 The convolution carries the (2 pi)^{-4} normalization of this package's
 Fourier convention so the operators compose consistently with pointwise
@@ -191,25 +197,43 @@ _ROW_CHUNK = 32
 
 class _Term(NamedTuple):
     """One kernel term for _sweep: spec applied to the spectra fs (read as
-    conj(fs) when conj_f) and gs, added into the spectral accumulator out."""
+    conj(fs) when conj_f) and gs, added into the spectral accumulator out.
+    fs is interpolated at tau = |xi - eta| on the high block, gs weights
+    the lows on the sigma = |eta| grid.  A mirrored term is an Omega_tilde
+    pair read after eta -> xi - eta: fs then carries the kernel's second
+    factor, gs its first, and the denominator takes tau and sigma
+    swapped."""
 
     spec: BilinearKernelSpec
     fs: np.ndarray
     gs: np.ndarray
     out: np.ndarray
     conj_f: bool = False
+    mirrored: bool = False
 
 
 def _sides(spec: BilinearKernelSpec, grid: RadialGrid) -> list:
-    """(f_range, g_range) block ranges of every side of spec's HL pairs."""
-    sides = []
-    for j, lo, hi in _block_ranges(grid, lambda j, k: _hl(j, k, spec.iota)):
-        # f carries the high block j, g the telescoped lows
-        sides.append(((j, j), (lo, hi)))
-        if spec.kind == OMEGA_TILDE:
-            # mirrored pairs (k, j): g carries the high block, f the lows
-            sides.append(((lo, hi), (j, j)))
-    return sides
+    """(f_range, g_range) block ranges of every side of spec's HL pairs:
+    the interpolated factor carries the high block j, the sigma factor the
+    telescoped lows.  This holds for the mirrored Omega_tilde terms as well,
+    so every kind has one side per HL range."""
+    return [((j, j), (lo, hi)) for j, lo, hi in
+            _block_ranges(grid, lambda j, k: _hl(j, k, spec.iota))]
+
+
+def _tilde_terms(fs, gs, iota, out):
+    """Omega_tilde(f, g) on spectra fs, gs into out: the direct pairs (f on
+    the high block) and the mirrored ones (g on the high block)."""
+    spec = BilinearKernelSpec(OMEGA_TILDE, iota)
+    return [_Term(spec, fs, gs, out), _Term(spec, gs, fs, out, mirrored=True)]
+
+
+def _tilde_self_terms(us, iota, out):
+    """Omega_tilde(u, conj u) on u's spectrum us into out; the mirrored
+    term interpolates conj u as the conjugate of u's interpolation."""
+    spec = BilinearKernelSpec(OMEGA_TILDE, iota)
+    return [_Term(spec, us, us.conj(), out),
+            _Term(spec, us, us, out, conj_f=True, mirrored=True)]
 
 
 def apply_bilinear(spec: BilinearKernelSpec, f: RadialField, g: RadialField,
@@ -221,14 +245,20 @@ def apply_bilinear(spec: BilinearKernelSpec, f: RadialField, g: RadialField,
     with the eta integral reduced to grid quadrature in sigma = |eta| and a
     Chebyshev rule in cos(theta).  The denominator is pair-independent, so
     the low-frequency side is telescoped into one block_sum cutoff per high
-    block instead of looping over individual (k, l) pairs.  This is _sweep
-    on the one term; omega and the normal-form corrections hand _sweep
-    several terms at once so they share its geometry.
+    block instead of looping over individual (k, l) pairs.  Omega_tilde
+    also sums the mirrored pairs (f low, g high), substituted
+    eta -> xi - eta so that g is the factor read at |xi - eta|.  This is
+    _sweep on the kernel's terms; omega and the normal-form corrections
+    hand _sweep several kernels at once so they share its geometry.
     """
     grid = f.grid
+    fs, gs = to_spectral(f).values, to_spectral(g).values
     out_spec = np.zeros(grid.n, dtype=np.complex128)
-    _sweep(grid, quad or AngularQuadrature(), [_Term(
-        spec, to_spectral(f).values, to_spectral(g).values, out_spec)])
+    if spec.kind == OMEGA_TILDE:
+        terms = _tilde_terms(fs, gs, spec.iota, out_spec)
+    else:
+        terms = [_Term(spec, fs, gs, out_spec)]
+    _sweep(grid, quad or AngularQuadrature(), terms)
     return _to_field(grid, out_spec)
 
 
@@ -265,9 +295,9 @@ def _sweep(grid, quad, terms):
 
 
 def _sweep_side(grid, quad, f_range, g_range, terms):
-    """Add the pairs of f's blocks f_range = (lo, hi) with g's blocks
-    g_range for every term, skipping a term whose side is below
-    LIVE_BLOCK_RTOL.
+    """Add the pairs of the interpolated factor's blocks f_range = (lo, hi)
+    with the sigma factor's blocks g_range for every term, skipping a term
+    whose side is below LIVE_BLOCK_RTOL.
 
     The sigma columns are the union of the terms' live columns; a term's g
     weights are zero on the columns dead for it.  The cutoff
@@ -277,9 +307,9 @@ def _sweep_side(grid, quad, f_range, g_range, terms):
     tau, the cutoff, the runs and one interpolation per distinct f
     spectrum are built once per chunk, and the terms on one spectrum run
     right after its interpolation, so one interpolated box is held at a
-    time; each term adds its own denominator and its real weights
-    cut w_c / den.  A term with conj_f takes the conjugate angular sum, as
-    interp(conj fs) = conj(interp fs).
+    time; each term adds its own denominator (tau and sigma swapped for a
+    mirrored term) and its real weights cut w_c / den.  A term with conj_f
+    takes the conjugate angular sum, as interp(conj fs) = conj(interp fs).
     """
     rho = grid.rho_nodes
     f_cut = block_sum(rho, *f_range)
@@ -323,7 +353,8 @@ def _sweep_side(grid, quad, f_range, g_range, terms):
         for fs, f_terms in by_f.values():
             f_tau = np.interp(tau, rho, fs, left=0.0, right=0.0)
             for term, g_w in f_terms:
-                den = term.spec.denominator(rr, tau, ss)
+                den = (term.spec.denominator(rr, ss, tau) if term.mirrored
+                       else term.spec.denominator(rr, tau, ss))
                 if (np.any(mask)
                         and np.abs(den[mask]).min() < DENOMINATOR_FLOOR):
                     raise KernelError(
@@ -364,17 +395,30 @@ def omega_tilde(f: RadialField, g: RadialField, iota: float,
     return apply_bilinear(BilinearKernelSpec(OMEGA_TILDE, iota), f, g, quad)
 
 
+def omega_tilde_self_spectra(grid: RadialGrid, us: np.ndarray, iota: float,
+                             quad: AngularQuadrature | None = None
+                             ) -> np.ndarray:
+    """Spectra of Omega_tilde_iota(u, conj u), (2 pi)^{-4} applied, for
+    every column u of the (n, S) spectral block us.  All columns' terms go
+    to one _sweep, so each HL range's geometry is built once for all."""
+    rows = np.ascontiguousarray(us.T, dtype=np.complex128)
+    out = np.zeros(rows.shape, dtype=np.complex128)
+    terms = [term for u_s, out_s in zip(rows, out)
+             for term in _tilde_self_terms(u_s, iota, out_s)]
+    _sweep(grid, quad or AngularQuadrature(), terms)
+    return out.T * FOURIER_NORM**-2
+
+
 def _corrections(u, N, iota1, iota2, quad):
     """(Omega_{iota1}(N, u), D Omega_tilde_{iota2}(u, conj u)), all three
-    kernels in one _sweep: with iota1 == iota2 the direct sides of the
-    three share one geometry pass."""
+    kernels in one _sweep: with iota1 == iota2 the three share one geometry
+    pass per HL range, mirrored Omega_tilde pairs included."""
     grid = u.grid
     us = to_spectral(u).values
     omega_spec = np.zeros(grid.n, dtype=np.complex128)
     tilde_spec = np.zeros(grid.n, dtype=np.complex128)
-    terms = _omega_terms(to_spectral(N).values, us, iota1, omega_spec)
-    terms.append(_Term(BilinearKernelSpec(OMEGA_TILDE, iota2), us,
-                       us.conj(), tilde_spec))
+    terms = (_omega_terms(to_spectral(N).values, us, iota1, omega_spec)
+             + _tilde_self_terms(us, iota2, tilde_spec))
     _sweep(grid, quad or AngularQuadrature(), terms)
     return (_to_field(grid, 0.5 * omega_spec),
             op_D(_to_field(grid, tilde_spec)))

@@ -14,6 +14,7 @@ from zakharov4d.grid import (
     transform,
     zero_field,
 )
+from zakharov4d import normal_form
 from zakharov4d.dyadic import block_sum, chi0, dyadic_blocks
 from zakharov4d.normal_form import (
     LIVE_BLOCK_RTOL,
@@ -63,35 +64,41 @@ def rel_l2(a, b):
 
 def dense_bilinear(spec, f, g, quad):
     """Reference for apply_bilinear: every (rho, live sigma, angle) element
-    of every side, the cutoff masking the ones off f's block support."""
+    of every HL range, the cutoff masking the ones off the high block's
+    support.  The mirrored Omega_tilde pairs (f low, g high) are written
+    after eta -> xi - eta: g is read at tau = |xi - eta| on the high block,
+    f's lows sit on the sigma grid, and the denominator takes tau and sigma
+    swapped."""
     grid = f.grid
     rho = grid.rho_nodes
     fs, gs = to_spectral(f).values, to_spectral(g).values
     out = np.zeros(grid.n, dtype=complex)
     for j, lo, hi in _block_ranges(grid, lambda j, k: _hl(j, k, spec.iota)):
-        sides = [((j, j), (lo, hi))]
+        sides = [(fs, gs, spec.denominator)]
         if spec.kind == OMEGA_TILDE:
-            sides.append(((lo, hi), (j, j)))
-        for f_range, g_range in sides:
-            if (np.abs(fs * block_sum(rho, *f_range)).max()
-                    <= LIVE_BLOCK_RTOL * np.abs(fs).max()):
+            sides.append((gs, fs, lambda r, t, s: spec.denominator(r, s, t)))
+        for high_s, low_s, den_of in sides:
+            if (np.abs(high_s * block_sum(rho, j, j)).max()
+                    <= LIVE_BLOCK_RTOL * np.abs(high_s).max()):
                 continue
-            g_vals = gs * block_sum(rho, *g_range)
-            live = np.abs(g_vals) > LIVE_BLOCK_RTOL * np.abs(gs).max()
+            low_vals = low_s * block_sum(rho, lo, hi)
+            live = np.abs(low_vals) > LIVE_BLOCK_RTOL * np.abs(low_s).max()
             sigma = rho[live][None, :, None]
-            g_w = g_vals[live] * grid.quad_weights_rho[live]
+            low_w = low_vals[live] * grid.quad_weights_rho[live]
             for rows in np.array_split(np.arange(grid.n), grid.n // 32):
                 rr = rho[rows][:, None, None]
                 tau = np.sqrt(np.maximum(
                     rr**2 + sigma**2 - 2.0 * rr * sigma * quad.nodes, 0.0))
-                cut = block_sum(tau, *f_range)
-                fk = cut * (np.interp(tau, rho, fs.real, left=0.0, right=0.0)
-                            + 1j * np.interp(tau, rho, fs.imag, left=0.0,
-                                             right=0.0))
-                den = spec.denominator(rr, tau, sigma)
-                integrand = np.where(cut > 0, fk / np.where(cut > 0, den, 1.0),
-                                     0.0)
-                out[rows] += 4.0 * np.pi * ((integrand @ quad.weights) @ g_w)
+                cut = block_sum(tau, j, j)
+                high = cut * (np.interp(tau, rho, high_s.real, left=0.0,
+                                        right=0.0)
+                              + 1j * np.interp(tau, rho, high_s.imag,
+                                               left=0.0, right=0.0))
+                den = den_of(rr, tau, sigma)
+                integrand = np.where(cut > 0,
+                                     high / np.where(cut > 0, den, 1.0), 0.0)
+                out[rows] += 4.0 * np.pi * ((integrand @ quad.weights)
+                                            @ low_w)
     spectrum = out * FOURIER_NORM**-2
     return transform(RadialField(grid, spectrum, SPECTRAL))
 
@@ -322,6 +329,49 @@ class TestApplyBilinear:
         assert out_spec[m].real == pytest.approx(oracle, rel=1e-2)
         assert abs(out_spec[m].imag) < 1e-12 * abs(oracle)
 
+    def test_mirrored_side_oracle(self, ogrid):
+        # f holds only low blocks and g only high ones, so Omega_tilde(f, g)
+        # is its mirrored side alone; one output node at the 16-angle rule
+        # is checked against an adaptive (sigma, c) integration in the
+        # original variables (f read at tau = |xi - eta|, g on sigma = |eta|)
+        g = ogrid
+        fc, fw = 1.0, 0.4
+        hc, hw = 16.0, 1.5
+        f = block_field(g, fc, fw)
+        h = block_field(g, hc, hw)
+        spec = BilinearKernelSpec(OMEGA_TILDE, 1 / 8)
+        out = apply_bilinear(spec, f, h, AngularQuadrature(16))
+        out_spec = to_spectral(out).values
+
+        m = np.argmin(np.abs(g.rho_nodes - 17.0))
+        rho_m = g.rho_nodes[m]
+        fhat = lambda t: np.exp(-((t - fc) ** 2) / (2 * fw**2))
+        hhat = lambda s: np.exp(-((s - hc) ** 2) / (2 * hw**2))
+        # fhat is below 1e-12 past tau = 4, so the cutoff is live only on
+        # |rho_m - sigma| <= tau < 4: sigma within 4 of rho_m, c above
+        # c_lo(sigma); the pairs (k, j) with (j, k) in HL_{1/8} whose
+        # blocks reach those tau and sigma
+        t_hi = 4.0
+        blocks = dyadic_blocks(g)
+        live = [(kk, jj) for kk in blocks for jj in blocks
+                if jj / 8 >= max(kk, 2.0) and kk <= 4 and 8 <= jj <= 32]
+
+        def integrand(c, s):
+            tau = np.sqrt(max(rho_m**2 + s**2 - 2 * rho_m * s * c, 0.0))
+            acc = 0.0
+            for (kk, jj) in live:
+                acc += (chi0(tau / kk) * fhat(tau) * chi0(s / jj) * hhat(s)
+                        / spec.denominator(rho_m, tau, s))
+            return acc * np.sqrt(1 - c**2) * s**3
+
+        c_lo = lambda s: min(max((rho_m**2 + s**2 - t_hi**2)
+                                 / (2 * rho_m * s), -1.0), 1.0)
+        val, _ = integrate.dblquad(integrand, rho_m - t_hi, rho_m + t_hi,
+                                   c_lo, 1.0, epsabs=1e-12, epsrel=1e-6)
+        oracle = (2 * np.pi) ** -4 * 4 * np.pi * val
+        assert out_spec[m].real == pytest.approx(oracle, rel=1e-2)
+        assert abs(out_spec[m].imag) < 1e-12 * abs(oracle)
+
     def test_gain_ratio_sweep(self, kgrid):
         # two-derivative gain: |Omega^+(f_j, g_k)|_2 (1+j+k)^2 normalized by
         # |f_j|_4 |g_k|_4 varies by < factor 4 across four octaves; fixed
@@ -350,6 +400,16 @@ class TestApplyBilinear:
         defect16 = angular_convergence_defect(spec, f, g2, n_theta=16)
         assert defect64 < 2e-4
         assert defect64 < defect16 / 3
+
+    def test_mirrored_sides_converge(self, ogrid):
+        # f holds a high and a low block, so Omega_tilde(f, conj f) has its
+        # direct and its mirrored sides live; the 16-angle rule must agree
+        # with 256 angles on both
+        f = block_field(ogrid, 16.0, 1.5) + block_field(ogrid, 1.0, 0.4)
+        coarse = omega_tilde(f, f.conj(), 1 / 8, AngularQuadrature(16))
+        fine = omega_tilde(f, f.conj(), 1 / 8, AngularQuadrature(256))
+        assert lp_norm(fine, 2) > 0
+        assert rel_l2(coarse, fine) < 1e-3
 
 
 class TestNormalTransform:
@@ -388,6 +448,26 @@ class TestNormalTransform:
         assert lp_norm(ref_u, 2) > 0 and lp_norm(ref_N, 2) > 0
         assert rel_l2(corr_u, ref_u) < 1e-13
         assert rel_l2(corr_N, ref_N) < 1e-13
+
+    def test_corrections_one_sweep_per_hl_range(self, ogrid, monkeypatch):
+        # at iota1 == iota2 the Omega^+, Omega^- and Omega_tilde terms of
+        # every HL range, mirrored Omega_tilde pairs included, share one
+        # geometry pass; broadband data keeps every side live
+        g = ogrid
+        profile = (1.0 / (1 + g.rho_nodes**2)).astype(complex)
+        u = transform(RadialField(g, 0.45 * profile, SPECTRAL))
+        N = transform(RadialField(g, 0.5 * profile, SPECTRAL))
+        calls = []
+        sweep_side = normal_form._sweep_side
+        monkeypatch.setattr(normal_form, "_sweep_side",
+                            lambda grid, quad, f_range, g_range, terms:
+                            calls.append((f_range, g_range))
+                            or sweep_side(grid, quad, f_range, g_range,
+                                          terms))
+        _corrections(u, N, 1 / 8, 1 / 8, AngularQuadrature(8))
+        ranges = _block_ranges(g, lambda j, k: _hl(j, k, 1 / 8))
+        assert sorted(calls) == sorted(((j, j), (lo, hi))
+                                       for j, lo, hi in ranges)
 
     def test_zero_wave_leaves_u(self, kgrid):
         u = block_field(kgrid, 8.0, width=0.5, amp=0.3)

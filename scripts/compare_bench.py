@@ -207,7 +207,8 @@ def main(argv=None) -> int:
                  for kind in sweep["head"][0][str(n)]}
         for n in SWEEP_N}
     sweep_summary["decompose_N"] = {
-        s: statistics.median(r["decompose_N"] for r in sweep[s]) for s in sides}
+        s: statistics.median(r["decompose_N"] for r in sweep[s])
+        for s in sides}
 
     record = {"host": host(), "run_seconds": seconds,
               "commits": {s: commit_of(p) for s, p in sides.items()},

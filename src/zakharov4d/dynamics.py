@@ -380,10 +380,11 @@ def decompose_N(log: RunLog, iota: float, quad=None) -> WaveDecomposition:
     """Split N = N_F + N_N + N_D along the trajectory a run stored.
 
     N_N(t) = D Omega_tilde_iota(u, conj u), all samples in one kernel
-    sweep and one spectral -> physical pass; N_F propagates N(0) - N_N(0) by the free half-wave flow, all
-    samples as one phase block and one kernel pass; N_D is the remainder
-    (the Duhamel content).  A run without a stored trajectory, or with the
-    sponge on (the free flow would put its damping into N_D), is refused.
+    sweep and one spectral -> physical pass; N_F propagates N(0) - N_N(0)
+    by the free half-wave flow, all samples as one phase block and one
+    kernel pass; N_D is the remainder (the Duhamel content).  A run
+    without a stored trajectory, or with the sponge on (the free flow would
+    put its damping into N_D), is refused.
     """
     if log.traj_u is None:
         raise ValueError("the run stored no trajectory (store_every = 0)")

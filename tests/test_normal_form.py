@@ -459,11 +459,12 @@ class TestNormalTransform:
         N = transform(RadialField(g, 0.5 * profile, SPECTRAL))
         calls = []
         sweep_side = normal_form._sweep_side
-        monkeypatch.setattr(normal_form, "_sweep_side",
-                            lambda grid, quad, f_range, g_range, terms:
-                            calls.append((f_range, g_range))
-                            or sweep_side(grid, quad, f_range, g_range,
-                                          terms))
+
+        def counted(grid, quad, f_range, g_range, terms):
+            calls.append((f_range, g_range))
+            sweep_side(grid, quad, f_range, g_range, terms)
+
+        monkeypatch.setattr(normal_form, "_sweep_side", counted)
         _corrections(u, N, 1 / 8, 1 / 8, AngularQuadrature(8))
         ranges = _block_ranges(g, lambda j, k: _hl(j, k, 1 / 8))
         assert sorted(calls) == sorted(((j, j), (lo, hi))

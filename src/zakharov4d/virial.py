@@ -22,19 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
-    PHYSICAL,
+    FOURIER_NORM,
+    GridError,
+    LOW_MODES,
     RadialField,
     RadialGrid,
     SPHERE_S3,
-    lp_norm,
-    low_frequency_fraction,
     op_D,
-    op_D_inverse,
     radial_derivative,
     radial_laplacian_fd,
     to_physical,
 )
-from .variational import nehari_K
 
 D = 4  # the grid (SPHERE_S3, order-1 kernel, FOURIER_NORM) is R^4-only
 RICHARDSON_TOL = 0.1  # rate_check: 1- vs 2-stride disagreement allowed
@@ -107,13 +105,11 @@ class VirialWeights:
             RadialField(grid, self.psi)).values.real * R**2
         lap_f0_num = radial_laplacian_fd(
             RadialField(grid, self.f0)).values.real * R**2
-        As_psi = lambda s: apply_As(RadialField(grid, self.psi), s).values.real
+        As_psi = lambda s: apply_As(grid, self.psi, s)
         x_dlap = ((grid.wide_derivative_matrix() @ lap_psi_num)
                   * grid.r_nodes)
         res = {
-            "f0_num": self.f0**2 - (self.psi + grid.r_nodes
-                                    * radial_derivative(
-                                        RadialField(grid, self.psi)).values.real),
+            "f0_num": self.f0**2 - (self.psi + As_psi(-D)),
             "f2_num": self.f2 - (-(x_dlap + (D + 2) * lap_psi_num)
                                  + 4 * self.f0 * lap_f0_num),
             "f3_num": self.f3 - (As_psi(D) - D * self.f0**4),
@@ -132,21 +128,27 @@ class VirialWeights:
         return out
 
 
-def apply_As(f: RadialField, s: float) -> RadialField:
-    """A_s f = r f_r + ((D + s)/2) f with the grid's FD derivative."""
-    g = to_physical(f)
-    df = radial_derivative(g)
-    vals = g.grid.r_nodes * df.values + 0.5 * (D + s) * g.values
-    return RadialField(g.grid, vals, PHYSICAL)
+def _integral(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """SPHERE_S3 * sum_k w_k x_k for each column of x (n, S), summed
+    pairwise as np.sum sums one column, so a block matches its columns."""
+    return SPHERE_S3 * np.sum(np.asfortranarray(w[:, None] * x), axis=0)
 
 
-def commutator_brace(weight_vals: np.ndarray, g: RadialField) -> RadialField:
-    """{f} g = D(f * D^{-1} g) - f g for a real radial weight f."""
-    gg = to_physical(g)
-    eta = op_D_inverse(gg)
-    inner_field = RadialField(gg.grid, weight_vals * eta.values)
-    return RadialField(gg.grid,
-                       op_D(inner_field).values - weight_vals * gg.values)
+def apply_As(grid: RadialGrid, f: np.ndarray, s: float) -> np.ndarray:
+    """A_s f = r f_r + ((D + s)/2) f with the grid's FD derivative, on
+    physical values: one column (n,) or a block (n, S)."""
+    r = grid.r_nodes.reshape((-1,) + (1,) * (f.ndim - 1))
+    return r * (grid.derivative_matrix() @ f) + 0.5 * (D + s) * f
+
+
+def commutator_brace(grid: RadialGrid, weight: np.ndarray,
+                     g: np.ndarray) -> np.ndarray:
+    """{f} g = D(f D^{-1} g) - f g on physical values g, (n,) or (n, S), for
+    real radial weights f of g's shape: four kernel passes whatever S is."""
+    rho = grid.rho_nodes.reshape((-1,) + (1,) * (g.ndim - 1))
+    eta = grid.to_physical_values(grid.to_spectral_values(g) * (1.0 / rho))
+    inner = grid.to_spectral_values(weight * eta) * rho
+    return grid.to_physical_values(inner) - weight * g
 
 
 def bilinear_commutator_beta(f: RadialField, g: RadialField,
@@ -166,85 +168,86 @@ def bilinear_commutator_beta(f: RadialField, g: RadialField,
 
 @dataclass
 class VirialBreakdown:
-    V_R: float
-    NS: float
-    QN: float
-    CC: float
-    CC3p: float
-    V_inf: float
-    rate_inf: float
-    nu_L2: float
-    eta_low_fraction: float
+    V_R: np.ndarray
+    NS: np.ndarray
+    QN: np.ndarray
+    CC: np.ndarray
+    CC3p: np.ndarray
+    V_inf: np.ndarray
+    rate_inf: np.ndarray
+    nu_L2: np.ndarray
+    eta_low_fraction: np.ndarray
 
     @property
-    def rate_R(self) -> float:
+    def rate_R(self) -> np.ndarray:
         return self.NS + self.QN + self.CC
 
 
-def _pair_i_sym(a: RadialField, weight: np.ndarray, b: RadialField,
-                s: float) -> float:
-    """<a | i (A_s w + w A_s) b> with the real pairing."""
-    grid = a.grid
-    first = apply_As(RadialField(grid, weight * b.values), s)
-    second = weight * apply_As(b, s).values
-    integrand = np.real(np.conj(a.values) * 1j * (first.values + second))
-    return float(SPHERE_S3 * np.sum(grid.quad_weights_r * integrand))
-
-
-def virial_values(u: RadialField, N: RadialField,
+def virial_values(u: np.ndarray, N: np.ndarray,
                   weights: VirialWeights) -> VirialBreakdown:
-    """Evaluate V_R, its rate terms NS/QN/CC, V_inf and the flat-space rate."""
+    """V_R, its rate terms NS/QN/CC, V_inf and the flat-space rate per column
+    of the physical samples u, N ((n,) or (n, S)), in six shared kernel
+    passes: [N, nu, u] forward, [D^-1 N, D^-1 nu] back, a commutator_brace."""
     grid = weights.grid
-    u = to_physical(u)
-    N = to_physical(N)
-    if u.grid != grid or N.grid != grid:
+    if np.shape(u)[0] != grid.n or np.shape(N) != np.shape(u):
         raise ValueError("state and weights live on different grids")
-    R = weights.R
+    u, N = np.reshape(u, (grid.n, -1)), np.reshape(N, (grid.n, -1))
+    S, R = u.shape[1], weights.R
     w = grid.quad_weights_r
-    ones = np.ones(grid.n)
+    psi, r_dpsi = weights.psi[:, None], weights.r_dpsi[:, None]
+    u_sq = np.abs(u) ** 2
+    nu = np.real(N) - u_sq
 
-    eta_N = op_D_inverse(N)
-    V_R = (_pair_i_sym(u, weights.psi, u, 0.0)
-           + 0.5 * _pair_i_sym(eta_N, weights.psi, N, 1.0))
-    V_inf = (_pair_i_sym(u, ones, u, 0.0)
-             + 0.5 * _pair_i_sym(eta_N, ones, N, 1.0))
+    spec = grid.to_spectral_values(np.hstack([N, nu, u]))
+    if not np.all(np.isfinite(spec)):
+        raise GridError("virial values of non-finite samples")
+    eta_N, eta = np.hsplit(grid.to_physical_values(
+        spec[:, :2 * S] * (1.0 / grid.rho_nodes[:, None])), 2)
 
-    nu = np.real(N.values) - np.abs(u.values) ** 2
-    nu_field = RadialField(grid, nu)
-    eta = op_D_inverse(nu_field)
-    eta_r = radial_derivative(eta).values.real
-    u_r = radial_derivative(u).values
+    # V = <u|i(A_0 w + w A_0)u> + <D^-1 N|i(A_1 w + w A_1)N>/2 at w = psi_R, 1
+    A0u, A1N = apply_As(grid, u, 0.0), apply_As(grid, N, 1.0)
+    V_R = (_integral(w, np.real(np.conj(u) * 1j * (
+               apply_As(grid, psi * u, 0.0) + psi * A0u)))
+           + 0.5 * _integral(w, np.real(np.conj(eta_N) * 1j * (
+               apply_As(grid, psi * N, 1.0) + psi * A1N))))
+    V_inf = (_integral(w, np.real(np.conj(u) * 1j * (A0u + A0u)))
+             + 0.5 * _integral(w, np.real(np.conj(eta_N) * 1j * (A1N + A1N))))
+
+    eta_r = (grid.derivative_matrix() @ eta).real
+    u_r = grid.derivative_matrix() @ u
 
     # NS per the general-psi identity (angular term absent for radial u)
-    lap_term = weights.A_dp4_lap_psi / R**2
-    NS = float(SPHERE_S3 * np.sum(w * (
-        4.0 * weights.psi * np.abs(u_r) ** 2
-        + 4.0 * weights.r_dpsi * np.abs(u_r) ** 2
-        - weights.A_d_psi * np.abs(u.values) ** 4
-        - lap_term * np.abs(u.values) ** 2)))
+    NS = _integral(w, (
+        4.0 * psi * np.abs(u_r) ** 2
+        + 4.0 * r_dpsi * np.abs(u_r) ** 2
+        - weights.A_d_psi[:, None] * np.abs(u) ** 4
+        - (weights.A_dp4_lap_psi[:, None] / R**2) * u_sq))
 
-    QN = float(SPHERE_S3 * np.sum(w * (
-        0.5 * weights.psi * nu**2
-        + 0.5 * weights.psi * eta_r**2
-        + weights.r_dpsi * eta_r**2
-        - 0.25 * (weights.A_dp2_lap_psi / R**2) * eta.values.real**2)))
+    QN = _integral(w, (
+        0.5 * psi * nu**2
+        + 0.5 * psi * eta_r**2
+        + r_dpsi * eta_r**2
+        - 0.25 * (weights.A_dp2_lap_psi[:, None] / R**2) * eta.real**2))
 
-    u_sq = RadialField(grid, np.abs(u.values) ** 2)
-    brace_psi = commutator_brace(weights.psi, apply_As(u_sq, 1.0))
-    brace_rdp = commutator_brace(weights.r_dpsi, u_sq)
-    CC3p = float(SPHERE_S3 * np.sum(w * nu * np.real(
-        brace_psi.values + 0.5 * brace_rdp.values)))
-    CC = float(-SPHERE_S3 * np.sum(
-        w * nu * np.abs(u.values) ** 2 * weights.A_dm2_psi)) + CC3p
+    brace_psi, brace_rdp = np.hsplit(commutator_brace(
+        grid, np.repeat(np.hstack([psi, r_dpsi]), S, axis=1),
+        np.hstack([apply_As(grid, u_sq, 1.0), u_sq])), 2)
+    CC3p = _integral(w, nu * np.real(brace_psi + 0.5 * brace_rdp))
+    CC = -_integral(w, nu * u_sq * weights.A_dm2_psi[:, None]) + CC3p
 
-    rate_inf = (4.0 * nehari_K(u) + lp_norm(nu_field, 2) ** 2
-                - (D - 1) * SPHERE_S3 * np.sum(w * nu * np.abs(u.values) ** 2))
+    grad_sq = FOURIER_NORM ** -2 * _integral(
+        grid.quad_weights_rho * grid.rho_nodes**2,
+        np.abs(spec[:, 2 * S:]) ** 2)
+    K = grad_sq - _integral(w, np.abs(u) ** 4)
+    nu_L2 = _integral(w, np.abs(nu) ** 2) ** 0.5
+    rate_inf = 4.0 * K + nu_L2**2 - (D - 1) * _integral(w, nu * u_sq)
 
-    low_frac, _ = low_frequency_fraction(nu_field)
+    mass = grid.quad_weights_rho[:, None] * np.abs(spec[:, S:2 * S]) ** 2
+    low_frac = np.divide(mass[:LOW_MODES].sum(axis=0), mass.sum(axis=0),
+                         out=np.zeros(S), where=mass.any(axis=0))
     return VirialBreakdown(V_R=V_R, NS=NS, QN=QN, CC=CC, CC3p=CC3p,
-                           V_inf=V_inf, rate_inf=float(rate_inf),
-                           nu_L2=lp_norm(nu_field, 2),
-                           eta_low_fraction=float(low_frac))
+                           V_inf=V_inf, rate_inf=rate_inf, nu_L2=nu_L2,
+                           eta_low_fraction=low_frac)
 
 
 class StrideError(RuntimeError):
@@ -266,13 +269,15 @@ def rate_check(traj_u, traj_N, weights: VirialWeights) -> RateCheckReport:
     """Compare centered-difference dV_R/dt with NS + QN + CC along a stored
     trajectory (and dV_inf/dt with the flat-space rate).
 
-    traj_u and traj_N are TrajectorySamples on the same sample times; each
-    pair of columns is one virial_values evaluation.  Requires a uniform
-    stride; a stride too coarse for O(dt^2) accuracy is detected by
-    comparing the 1-stride and 2-stride centered differences (Richardson
-    disagreement above RICHARDSON_TOL raises StrideError).
+    traj_u and traj_N are TrajectorySamples on the weights' grid and the
+    same sample times, evaluated by one virial_values call.  Requires a
+    uniform stride; a stride too coarse for O(dt^2) accuracy is detected
+    by comparing the 1-stride and 2-stride centered differences
+    (Richardson disagreement above RICHARDSON_TOL raises StrideError).
     """
     times = traj_u.times
+    if traj_u.grid != weights.grid or traj_N.grid != weights.grid:
+        raise ValueError("trajectories and weights live on different grids")
     if not np.array_equal(times, traj_N.times):
         raise ValueError("u and N trajectories must share sample times")
     if len(times) < 5:
@@ -282,18 +287,11 @@ def rate_check(traj_u, traj_N, weights: VirialWeights) -> RateCheckReport:
         raise ValueError("rate check needs a uniform trajectory stride")
     h = dt[0]
 
-    breakdown = [virial_values(RadialField(traj_u.grid, uu),
-                               RadialField(traj_N.grid, NN), weights)
-                 for uu, NN in zip(traj_u.values.T, traj_N.values.T)]
-    V_R = np.array([b.V_R for b in breakdown])
-    V_inf = np.array([b.V_inf for b in breakdown])
-    rate_R = np.array([b.rate_R for b in breakdown])
-    rate_inf = np.array([b.rate_inf for b in breakdown])
-
-    fd1_R = (V_R[2:] - V_R[:-2]) / (2 * h)
-    fd1_inf = (V_inf[2:] - V_inf[:-2]) / (2 * h)
+    b = virial_values(traj_u.values, traj_N.values, weights)
+    fd1_R = (b.V_R[2:] - b.V_R[:-2]) / (2 * h)
+    fd1_inf = (b.V_inf[2:] - b.V_inf[:-2]) / (2 * h)
     # 2-stride centered difference on the interior where both exist
-    fd2_R = (V_R[4:] - V_R[:-4]) / (4 * h)
+    fd2_R = (b.V_R[4:] - b.V_R[:-4]) / (4 * h)
     scale = np.abs(fd1_R[1:-1]).max() + 1e-300
     if np.abs(fd2_R - fd1_R[1:-1]).max() / scale > RICHARDSON_TOL:
         raise StrideError("centered differences disagree: stride too coarse")
@@ -305,9 +303,10 @@ def rate_check(traj_u, traj_N, weights: VirialWeights) -> RateCheckReport:
         denom = max(np.abs(fd).max(), np.abs(rate).max(), 1e-300)
         return np.abs(fd - rate) / denom
 
-    mm_R = mismatch(fd1_R, rate_R[mid])
-    mm_inf = mismatch(fd1_inf, rate_inf[mid])
-    return RateCheckReport(times=times[mid], fd_V_R=fd1_R, rate_R=rate_R[mid],
-                           fd_V_inf=fd1_inf, rate_inf=rate_inf[mid],
+    rate_R, rate_inf = b.rate_R[mid], b.rate_inf[mid]
+    mm_R = mismatch(fd1_R, rate_R)
+    mm_inf = mismatch(fd1_inf, rate_inf)
+    return RateCheckReport(times=times[mid], fd_V_R=fd1_R, rate_R=rate_R,
+                           fd_V_inf=fd1_inf, rate_inf=rate_inf,
                            max_mismatch_R=float(mm_R.max()),
                            max_mismatch_inf=float(mm_inf.max()))

@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from zakharov4d.grid import (
     RadialField,
+    RadialGrid,
     SPECTRAL,
     field,
     inner,
@@ -67,8 +70,7 @@ class TestWeights:
     def test_h_closed_form(self, wgrid, weights10):
         # h = A_{d-1} psi_R computed by the numeric operator matches
         # (3.5 psi - x^2 psi^3)(r/R)
-        psi_f = field(wgrid, weights10.psi)
-        h_num = apply_As(psi_f, 3.0).values.real
+        h_num = apply_As(wgrid, weights10.psi, 3.0)
         mask = wgrid.interior_mask()
         assert np.abs(h_num - weights10.h)[mask].max() < 1e-8
 
@@ -81,16 +83,15 @@ class TestApplyAs:
     def test_monomial(self, grid_medium):
         # A_0 r^2 = r (2 r) + 2 r^2 = 4 r^2; 5-point stencils are exact on
         # polynomials of degree <= 4
-        f = field(grid_medium, grid_medium.r_nodes**2)
-        out = apply_As(f, 0.0)
-        assert np.abs(out.values - 4.0 * grid_medium.r_nodes**2).max() < 1e-8
+        out = apply_As(grid_medium, grid_medium.r_nodes**2, 0.0)
+        assert np.abs(out - 4.0 * grid_medium.r_nodes**2).max() < 1e-8
 
     def test_constant(self, grid_medium):
         c = 2.5
-        f = field(grid_medium, np.full(grid_medium.n, c))
+        f = np.full(grid_medium.n, c)
         for s in (-2.0, 0.0, 1.0):
-            out = apply_As(f, s)
-            assert np.allclose(out.values, (4.0 + s) / 2.0 * c, atol=1e-10)
+            out = apply_As(grid_medium, f, s)
+            assert np.allclose(out, (4.0 + s) / 2.0 * c, atol=1e-10)
 
 
 class TestCommutatorBrace:
@@ -98,22 +99,24 @@ class TestCommutatorBrace:
         spec = np.zeros(grid_medium.n, dtype=complex)
         spec[20:200] = rng.standard_normal(180)
         g = transform(RadialField(grid_medium, spec, SPECTRAL))
-        out = commutator_brace(np.ones(grid_medium.n), g)
-        assert lp_norm(out, 2) < 1e-10 * lp_norm(g, 2)
+        out = commutator_brace(grid_medium, np.ones(grid_medium.n), g.values)
+        assert lp_norm(field(grid_medium, out), 2) < 1e-10 * lp_norm(g, 2)
 
     def test_constant_weight_vanishes(self, grid_medium, rng):
         spec = np.zeros(grid_medium.n, dtype=complex)
         spec[20:200] = rng.standard_normal(180)
         g = transform(RadialField(grid_medium, spec, SPECTRAL))
-        out = commutator_brace(np.full(grid_medium.n, 3.7), g)
-        assert lp_norm(out, 2) < 1e-10 * lp_norm(g, 2)
+        out = commutator_brace(grid_medium, np.full(grid_medium.n, 3.7),
+                               g.values)
+        assert lp_norm(field(grid_medium, out), 2) < 1e-10 * lp_norm(g, 2)
 
     def test_smallness_improves_with_R(self, grid_medium):
         g = gaussian_field(grid_medium, 0.5, 2.0)
         norms = []
         for R in (5.0, 10.0, 20.0):
             w = VirialWeights(grid_medium, R)
-            norms.append(lp_norm(commutator_brace(w.psi, g), 2))
+            out = commutator_brace(grid_medium, w.psi, g.values)
+            norms.append(lp_norm(field(grid_medium, out), 2))
         assert norms[0] > norms[1] > norms[2]
 
 
@@ -167,14 +170,14 @@ class TestVirialValues:
     def test_real_data_zero_wave_has_no_flux(self, wgrid, weights10):
         u = w_field(wgrid, truncated=True)   # real-valued
         N = field(wgrid, np.zeros(wgrid.n))
-        b = virial_values(u, N, weights10)
+        b = virial_values(u.values, N.values, weights10)
         scale = W4_4_EXACT
         assert abs(b.V_R) < 1e-10 * scale
         assert abs(b.V_inf) < 1e-10 * scale
 
     def test_static_ground_state_rates_vanish(self, wgrid, weights10):
         wt = w_field(wgrid, truncated=True)
-        b = virial_values(wt, RadialField(wgrid, wt.values**2), weights10)
+        b = virial_values(wt.values, wt.values**2, weights10)
         # K(W) = 0 and nu = 0: both rates vanish within truncation tolerance
         assert abs(b.rate_inf) < 0.01 * 4.0 * W4_4_EXACT
         assert abs(b.rate_R) < 0.01 * 4.0 * W4_4_EXACT
@@ -183,7 +186,7 @@ class TestVirialValues:
     def test_rate_inf_formula(self, wgrid, weights10, rng):
         u = gaussian_field(wgrid, 0.5, 1.5, chirp=0.1)
         N = gaussian_field(wgrid, 0.4, 2.0)
-        b = virial_values(u, N, weights10)
+        b = virial_values(u.values, N.values, weights10)
         nu = np.real(N.values) - np.abs(u.values) ** 2
         pairing = 2 * np.pi**2 * np.sum(
             wgrid.quad_weights_r * nu * np.abs(u.values) ** 2)
@@ -195,7 +198,7 @@ class TestVirialValues:
         # NS = 4 K(f0_R u) + int |u/R|^2 f2_R - |u|^4 f3_R for radial u
         for amp, width in ((0.5, 1.5), (0.3, 3.0)):
             u = gaussian_field(wgrid, amp, width, chirp=0.05)
-            b = virial_values(u, field(wgrid, np.zeros(wgrid.n)), weights10)
+            b = virial_values(u.values, np.zeros(wgrid.n), weights10)
             f0u = RadialField(wgrid, weights10.f0 * u.values)
             alt = (4.0 * nehari_K(f0u)
                    + 2 * np.pi**2 * np.sum(wgrid.quad_weights_r * (
@@ -206,7 +209,43 @@ class TestVirialValues:
     def test_grid_mismatch(self, wgrid, grid_small, weights10):
         u = gaussian_field(grid_small, 0.1, 1.0)
         with pytest.raises(ValueError):
-            virial_values(u, u, weights10)
+            virial_values(u.values, u.values, weights10)
+
+
+class TestBlockEvaluation:
+    def test_block_matches_one_column_calls(self, smooth_run):
+        g, log = smooth_run
+        w = VirialWeights(g, 10.0)
+        u, N = log.traj_u.values, log.traj_N.values
+        block = virial_values(u, N, w)
+        columns = [virial_values(u[:, k], N[:, k], w)
+                   for k in range(u.shape[1])]
+        for f in fields(block):
+            got = getattr(block, f.name)
+            ref = np.concatenate([getattr(c, f.name) for c in columns])
+            assert got.shape == ref.shape == (u.shape[1],), f.name
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), f.name
+
+    def test_rate_check_passes_do_not_grow_with_samples(self, smooth_run,
+                                                        monkeypatch):
+        g, log = smooth_run
+        w = VirialWeights(g, 10.0)
+        calls = []
+        original = RadialGrid._kernel_apply
+
+        def counted(grid, columns):
+            calls.append(columns.shape)
+            return original(grid, columns)
+
+        monkeypatch.setattr(RadialGrid, "_kernel_apply", counted)
+        counts = []
+        for S in (5, 11):
+            head = [TrajectorySamples(g, t.times[:S], t.values[:, :S], t.role)
+                    for t in (log.traj_u, log.traj_N)]
+            calls.clear()
+            rate_check(*head, w)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 6
 
 
 class TestRateCheck:

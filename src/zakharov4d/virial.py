@@ -187,7 +187,23 @@ def virial_values(u: np.ndarray, N: np.ndarray,
                   weights: VirialWeights) -> VirialBreakdown:
     """V_R, its rate terms NS/QN/CC, V_inf and the flat-space rate per column
     of the physical samples u, N ((n,) or (n, S)), in six shared kernel
-    passes: [N, nu, u] forward, [D^-1 N, D^-1 nu] back, a commutator_brace."""
+    passes: [N, nu, u] forward, [D^-1 N, D^-1 nu] back, a commutator_brace.
+
+    nu = N - |u|^2 is complex.  The first-order wave N = n - i D^{-1} d_t n
+    of d_t^2 n - Lap n = -Lap |u|^2 (the signs of `dynamics`) solves
+    d_t N = i D nu, so the wave part W = <D^{-1} N | i B N> / 2 of V, with
+    B = A_1 psi + psi A_1, has dW/dt = <nu | T N>, T = (B - D B* D^{-1}) / 2.
+    D, D^{-1}, A_s and psi map real functions to real ones, so T does, and
+    with the real pairing, Re N = Re nu + |u|^2 and Im N = Im nu,
+
+        dW/dt = <Re nu | T Re nu> + <Im nu | T Im nu> + <Re nu | T |u|^2>.
+
+    The quadratic part is the real-data form taken on both parts of nu: its
+    squares nu^2, eta_r^2, eta^2 become |nu|^2, |eta_r|^2, |eta|^2 with the
+    complex eta = D^{-1} nu (QN; at psi = 1 it is |nu|_2^2 = 2 <nu | A_1 nu>
+    in rate_inf).  The cross term, and the Schrodinger part, which sees
+    Re N only, keep Re nu (CC and the nu |u|^2 pairing of rate_inf).
+    """
     grid = weights.grid
     if np.shape(u)[0] != grid.n or np.shape(N) != np.shape(u):
         raise ValueError("state and weights live on different grids")
@@ -196,7 +212,7 @@ def virial_values(u: np.ndarray, N: np.ndarray,
     w = grid.quad_weights_r
     psi, r_dpsi = weights.psi[:, None], weights.r_dpsi[:, None]
     u_sq = np.abs(u) ** 2
-    nu = np.real(N) - u_sq
+    nu = N - u_sq
 
     spec = grid.to_spectral_values(np.hstack([N, nu, u]))
     if not np.all(np.isfinite(spec)):
@@ -213,7 +229,7 @@ def virial_values(u: np.ndarray, N: np.ndarray,
     V_inf = (_integral(w, np.real(np.conj(u) * 1j * (A0u + A0u)))
              + 0.5 * _integral(w, np.real(np.conj(eta_N) * 1j * (A1N + A1N))))
 
-    eta_r = (grid.derivative_matrix() @ eta).real
+    eta_r = grid.derivative_matrix() @ eta
     u_r = grid.derivative_matrix() @ u
 
     # NS per the general-psi identity (angular term absent for radial u)
@@ -224,23 +240,23 @@ def virial_values(u: np.ndarray, N: np.ndarray,
         - (weights.A_dp4_lap_psi[:, None] / R**2) * u_sq))
 
     QN = _integral(w, (
-        0.5 * psi * nu**2
-        + 0.5 * psi * eta_r**2
-        + r_dpsi * eta_r**2
-        - 0.25 * (weights.A_dp2_lap_psi[:, None] / R**2) * eta.real**2))
+        0.5 * psi * np.abs(nu) ** 2
+        + 0.5 * psi * np.abs(eta_r) ** 2
+        + r_dpsi * np.abs(eta_r) ** 2
+        - 0.25 * (weights.A_dp2_lap_psi[:, None] / R**2) * np.abs(eta) ** 2))
 
     brace_psi, brace_rdp = np.hsplit(commutator_brace(
         grid, np.repeat(np.hstack([psi, r_dpsi]), S, axis=1),
         np.hstack([apply_As(grid, u_sq, 1.0), u_sq])), 2)
-    CC3p = _integral(w, nu * np.real(brace_psi + 0.5 * brace_rdp))
-    CC = -_integral(w, nu * u_sq * weights.A_dm2_psi[:, None]) + CC3p
+    CC3p = _integral(w, nu.real * np.real(brace_psi + 0.5 * brace_rdp))
+    CC = -_integral(w, nu.real * u_sq * weights.A_dm2_psi[:, None]) + CC3p
 
     grad_sq = FOURIER_NORM ** -2 * _integral(
         grid.quad_weights_rho * grid.rho_nodes**2,
         np.abs(spec[:, 2 * S:]) ** 2)
     K = grad_sq - _integral(w, np.abs(u) ** 4)
     nu_L2 = _integral(w, np.abs(nu) ** 2) ** 0.5
-    rate_inf = 4.0 * K + nu_L2**2 - (D - 1) * _integral(w, nu * u_sq)
+    rate_inf = 4.0 * K + nu_L2**2 - (D - 1) * _integral(w, nu.real * u_sq)
 
     mass = grid.quad_weights_rho[:, None] * np.abs(spec[:, S:2 * S]) ** 2
     low_frac = np.divide(mass[:LOW_MODES].sum(axis=0), mass.sum(axis=0),

@@ -217,8 +217,8 @@ def virial_values(u: np.ndarray, N: np.ndarray,
     spec = grid.to_spectral_values(np.hstack([N, nu, u]))
     if not np.all(np.isfinite(spec)):
         raise GridError("virial values of non-finite samples")
-    eta_N, eta = np.hsplit(grid.to_physical_values(
-        spec[:, :2 * S] * (1.0 / grid.rho_nodes[:, None])), 2)
+    eta_hat = spec[:, :2 * S] * (1.0 / grid.rho_nodes[:, None])
+    eta_N, eta = np.hsplit(grid.to_physical_values(eta_hat), 2)
 
     # V = <u|i(A_0 w + w A_0)u> + <D^-1 N|i(A_1 w + w A_1)N>/2 at w = psi_R, 1
     A0u, A1N = apply_As(grid, u, 0.0), apply_As(grid, N, 1.0)
@@ -258,7 +258,7 @@ def virial_values(u: np.ndarray, N: np.ndarray,
     nu_L2 = _integral(w, np.abs(nu) ** 2) ** 0.5
     rate_inf = 4.0 * K + nu_L2**2 - (D - 1) * _integral(w, nu.real * u_sq)
 
-    mass = grid.quad_weights_rho[:, None] * np.abs(spec[:, S:2 * S]) ** 2
+    mass = grid.quad_weights_rho[:, None] * np.abs(eta_hat[:, S:]) ** 2
     low_frac = np.divide(mass[:LOW_MODES].sum(axis=0), mass.sum(axis=0),
                          out=np.zeros(S), where=mass.any(axis=0))
     return VirialBreakdown(V_R=V_R, NS=NS, QN=QN, CC=CC, CC3p=CC3p,

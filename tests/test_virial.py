@@ -9,8 +9,10 @@ from zakharov4d.grid import (
     SPECTRAL,
     field,
     inner,
+    low_frequency_fraction,
     lp_norm,
     make_grid,
+    op_D_inverse,
     transform,
 )
 from zakharov4d.dyadic import TrajectorySamples, chi0
@@ -193,6 +195,15 @@ class TestVirialValues:
         expected = (4 * nehari_K(u)
                     + lp_norm(RadialField(wgrid, nu), 2) ** 2 - 3 * pairing)
         assert b.rate_inf == pytest.approx(expected, rel=1e-10)
+
+    def test_eta_low_fraction_is_etas(self, wgrid, weights10):
+        # the low-mode share of eta = D^{-1} nu (0.055 here), not of nu
+        u = gaussian_field(wgrid, 0.5, 1.5, chirp=0.1)
+        N = gaussian_field(wgrid, 0.4, 2.0)
+        b = virial_values(u.values, N.values, weights10)
+        nu = RadialField(wgrid, N.values - np.abs(u.values) ** 2)
+        expected, _ = low_frequency_fraction(op_D_inverse(nu))
+        assert b.eta_low_fraction == pytest.approx(expected, rel=1e-10)
 
     def test_ns_cross_check_identity(self, wgrid, weights10):
         # NS = 4 K(f0_R u) + int |u/R|^2 f2_R - |u|^4 f3_R for radial u

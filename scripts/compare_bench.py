@@ -9,11 +9,12 @@ which side runs first (pair i uses seed ``--seed + i`` on both sides).  Then
 times one ``normal_form.apply_bilinear`` call per kernel kind, one
 ``normal_form.normal_transform`` call and one transform + inverse round trip
 (with its count of ``normal_form._corrections`` calls) at each n of
-``SWEEP_N``, and one ``dynamics.decompose_N`` of a 21-sample run, in each
-checkout, ``SWEEP_PAIRS`` times alternating, and writes every run, the
-per-side medians and quartiles, the pair wins and the host description as
-one JSON file.  Each checkout's benchmark code runs on its
-own sources.
+``SWEEP_N``, one ``dynamics.decompose_N`` of a 21-sample run, and one
+``virial.rate_check`` of a stored full-mode run (with its count of kernel
+passes) at each n of ``VIRIAL_N``, in each checkout, ``SWEEP_PAIRS`` times
+alternating, and writes every run, the per-side medians and quartiles, the
+pair wins and the host description as one JSON file.  Each checkout's
+benchmark code runs on its own sources.
 """
 
 from __future__ import annotations
@@ -29,19 +30,24 @@ from pathlib import Path
 
 BLAS_THREADS = "2"
 SWEEP_N = [128, 256, 512, 1024, 2048]
+VIRIAL_N = [256, 512, 1024]
 SWEEP_PAIRS = 3
 
 # one apply_bilinear call per kind, one normal_transform call (u, N = 0.9 u)
 # and one transform + normal_inverse round trip on the nf_round_trip data
 # family (spectrum a / (1 + rho^2), r_max = 12, iota = 1/8, 16 angles), the
 # round trip's _corrections calls counted; then one decompose_N of the
-# small-data run (n 256, r_max 20, 21 stored samples, iota 1/4, 12 angles).
+# small-data run (n 256, r_max 20, 21 stored samples, iota 1/4, 12 angles);
+# then, per n of the second argument, one rate_check of the whole stored
+# run of the virial_rate settings (r_max 50, dt 5e-4, 51 samples to t 0.5,
+# R 10), its RadialGrid._kernel_apply calls counted.
 # Prints {n: {kind, "normal_transform" or "round_trip": seconds,
-# "corrections_calls": count}, "decompose_N": seconds} as JSON
+# "corrections_calls": count}, "decompose_N": seconds,
+# "rate_check": {n: {"seconds", "kernel_passes"}}} as JSON
 SWEEP_CODE = """
 import json, sys, time
 import numpy as np
-from zakharov4d import dynamics, grid, normal_form as nf, variational
+from zakharov4d import dynamics, grid, normal_form as nf, variational, virial
 calls = [0]
 corrections = nf._corrections
 def counted(*args):
@@ -79,6 +85,28 @@ log = dynamics.run(state, cfg, 0.4)
 t0 = time.perf_counter()
 dynamics.decompose_N(log, 0.25, nf.AngularQuadrature(12))
 out["decompose_N"] = time.perf_counter() - t0
+passes = [0]
+kernel = grid.RadialGrid._kernel_apply
+def counted_kernel(self, columns):
+    passes[0] += 1
+    return kernel(self, columns)
+out["rate_check"] = {}
+for n in json.loads(sys.argv[2]):
+    g = grid.make_grid(n, 50.0)
+    state = dynamics.ZakharovState(
+        variational.gaussian_field(g, 0.4, 1.5, chirp=0.15),
+        variational.gaussian_field(g, 0.3, 2.0))
+    cfg = dynamics.IntegratorConfig(dt=5e-4, mode=dynamics.FULL,
+                                    store_every=20, monitor_every=200)
+    log = dynamics.run(state, cfg, 0.5)
+    weights = virial.VirialWeights(g, 10.0)
+    grid.RadialGrid._kernel_apply = counted_kernel
+    passes[0] = 0
+    t0 = time.perf_counter()
+    virial.rate_check(log.traj_u, log.traj_N, weights)
+    seconds = time.perf_counter() - t0
+    grid.RadialGrid._kernel_apply = kernel
+    out["rate_check"][n] = {"seconds": seconds, "kernel_passes": passes[0]}
 print(json.dumps(out))
 """
 
@@ -108,8 +136,9 @@ def bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
             **{k: v["value"] for k, v in res["metrics"].items()}}
 
 
-def sweep_run(root: Path, sizes: list) -> dict:
-    proc = subprocess.run([sys.executable, "-c", SWEEP_CODE, json.dumps(sizes)],
+def sweep_run(root: Path) -> dict:
+    proc = subprocess.run([sys.executable, "-c", SWEEP_CODE,
+                           json.dumps(SWEEP_N), json.dumps(VIRIAL_N)],
                           cwd=root, env=blas_env(root), capture_output=True,
                           text=True, check=True)
     return last_json(proc.stdout)
@@ -188,7 +217,7 @@ def main(argv=None) -> int:
     sweep = {"base": [], "head": []}
     for i in range(SWEEP_PAIRS):
         for side in alternate(i):
-            sweep[side].append(sweep_run(sides[side], SWEEP_N))
+            sweep[side].append(sweep_run(sides[side]))
             print(f"sweep {i} {side} done", file=sys.stderr, flush=True)
 
     summary = {}
@@ -209,6 +238,12 @@ def main(argv=None) -> int:
     sweep_summary["decompose_N"] = {
         s: statistics.median(r["decompose_N"] for r in sweep[s])
         for s in sides}
+    virial_summary = {
+        str(n): {key: {s: statistics.median(r["rate_check"][str(n)][key]
+                                            for r in sweep[s])
+                       for s in sides}
+                 for key in ("seconds", "kernel_passes")}
+        for n in VIRIAL_N}
 
     record = {"host": host(), "run_seconds": seconds,
               "commits": {s: commit_of(p) for s, p in sides.items()},
@@ -223,7 +258,14 @@ def main(argv=None) -> int:
                                             "decompose_N n 256, 21 "
                                             "samples, iota 1/4, 12 angles",
                                     "median_s": sweep_summary,
-                                    "runs": sweep}}
+                                    "runs": sweep},
+              "virial_sweep": {"data": "one rate_check of the whole stored "
+                                       "run of the virial_rate settings "
+                                       "(r_max 50, dt 5e-4, 51 samples to "
+                                       "t 0.5, R 10); raw runs under "
+                                       "normal_form_sweep.runs, key "
+                                       "rate_check",
+                               "median": virial_summary}}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

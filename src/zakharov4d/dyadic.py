@@ -193,8 +193,8 @@ class TrajectorySamples:
 
     values (n, S) holds the sample at times[k] in its column k; role names
     the field ("u", "N", or a wave piece "N_F", "N_N", "N_D").  Consumers
-    read the columns: the X^delta norm transforms the whole block in one
-    pass, the virial rate check takes one column per sample.
+    take the whole block: the X^delta norm transforms it in one pass, and
+    the virial rate check evaluates it in one `virial_values` call.
     """
 
     grid: RadialGrid

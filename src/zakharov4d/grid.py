@@ -10,7 +10,9 @@ its inverse, and the Laplacian exactly (no angular error).  The discrete pair
 follows the quasi-discrete Hankel transform normalization (Guizar-Sicairos &
 Gutierrez-Vega, JOSA A 21, 2004) as one matrix M and one scalar: physical ->
 spectral is c M and back is M / c, c = (2 pi)^2 r_max^4 / j_{1,n+1}^2.  M is
-its own inverse on the resolvable band to ~1e-12.
+nearly its own inverse: max|M^2 - I| is 5.6e-9 at n = 64, 7.2e-10 at
+n = 128 and 8.8e-11 at n = 512 (r_max 30), a property of the quasi-discrete
+kernel, not roundoff, and every round trip carries (M^2 - I) f.
 
 Fields carry a space tag ("physical" or "spectral"); all operations below are
 pure and grids are immutable after construction.
@@ -60,7 +62,7 @@ class RadialGrid:
     transform_kernel : ndarray, shape (n, n)
         Order-1 Fourier-Bessel matrix M = S^{-1} K S, with K the symmetric
         quasi-discrete Hankel kernel and S = diag(j_{1,k} / |J_0(j_{1,k})|);
-        self-inverse on the resolvable band.
+        M^2 = I only to 5.6e-9 (n = 64) ... 8.8e-11 (n = 512), see above.
     """
 
     def __init__(self, n: int, r_max: float):

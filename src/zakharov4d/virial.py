@@ -13,6 +13,10 @@ A_s and Laplacian operators:
 
 with A_s = x d/dx + (d+s)/2 and d = D = 4.  All identities below use the real
 pairing <f|g> = Re integral conj(f) g dx.
+
+The operators act on physical values, one column (n,) or a block (n, S) of
+samples; `virial_values` evaluates a whole block in six shared kernel
+passes, so `rate_check` reads a stored trajectory in one call.
 """
 
 from __future__ import annotations

@@ -304,6 +304,13 @@ class TestRateCheck:
         assert np.abs(rep.fd_V_R).max() < 1e-10
         assert np.abs(rep.rate_R).max() < 0.01 * 4 * W4_4_EXACT
 
+    def test_grid_mismatch_rejected(self, smooth_run):
+        # same n, other r_max: the columns would be read on the wrong radii
+        g, log = smooth_run
+        other = VirialWeights(make_grid(g.n, 25.0), 10.0)
+        with pytest.raises(ValueError, match="different grids"):
+            rate_check(log.traj_u, log.traj_N, other)
+
     def test_coarse_stride_detected(self):
         # strongly chirped data sampled once per unit time: the centered
         # differences at strides h and 2h disagree and the guard fires

@@ -11,9 +11,11 @@ times one ``normal_form.apply_bilinear`` call per kernel kind, one
 (with its count of ``normal_form._corrections`` calls) at each n of
 ``SWEEP_N``, one ``dynamics.decompose_N`` of a 21-sample run, and one
 ``virial.rate_check`` of a stored full-mode run (with its count of kernel
-passes) at each n of ``VIRIAL_N``, in each checkout, ``SWEEP_PAIRS`` times
-alternating, and writes every run, the per-side medians and quartiles, the
-pair wins and the host description as one JSON file.  Each checkout's
+passes) at each n of ``VIRIAL_N``, and one adaptive full-mode
+``dynamics.run`` of fixed length (with its count of step attempts) at each
+n of ``STEP_N``, in each checkout, ``SWEEP_PAIRS`` times alternating, and
+writes every run, the per-side medians and quartiles, the pair wins and the
+host description as one JSON file.  Each checkout's
 benchmark code runs on its own sources.
 """
 
@@ -31,6 +33,7 @@ from pathlib import Path
 BLAS_THREADS = "2"
 SWEEP_N = [128, 256, 512, 1024, 2048]
 VIRIAL_N = [256, 512, 1024]
+STEP_N = [128, 256, 512, 1024]
 SWEEP_PAIRS = 3
 
 # one apply_bilinear call per kind, one normal_transform call (u, N = 0.9 u)
@@ -40,10 +43,15 @@ SWEEP_PAIRS = 3
 # small-data run (n 256, r_max 20, 21 stored samples, iota 1/4, 12 angles);
 # then, per n of the second argument, one rate_check of the whole stored
 # run of the virial_rate settings (r_max 50, dt 5e-4, 51 samples to t 0.5,
-# R 10), its RadialGrid._kernel_apply calls counted.
+# R 10), its RadialGrid._kernel_apply calls counted; then, per n of the third
+# argument, one adaptive full-mode run of the blowup_trip data (1.3 times
+# the truncated W, r_max 40) from dt = 0.1 to t = 2.4, short of the
+# gradient trip, so that the drift rule halves dt eight or nine times, its
+# _Propagator.step_values calls counted.
 # Prints {n: {kind, "normal_transform" or "round_trip": seconds,
 # "corrections_calls": count}, "decompose_N": seconds,
-# "rate_check": {n: {"seconds", "kernel_passes"}}} as JSON
+# "rate_check": {n: {"seconds", "kernel_passes"}},
+# "step_sweep": {n: {"seconds", "attempts"}}} as JSON
 SWEEP_CODE = """
 import json, sys, time
 import numpy as np
@@ -107,6 +115,26 @@ for n in json.loads(sys.argv[2]):
     seconds = time.perf_counter() - t0
     grid.RadialGrid._kernel_apply = kernel
     out["rate_check"][n] = {"seconds": seconds, "kernel_passes": passes[0]}
+attempts = [0]
+step_values = dynamics._Propagator.step_values
+def counted_step(self, *args):
+    attempts[0] += 1
+    return step_values(self, *args)
+dynamics._Propagator.step_values = counted_step
+out["step_sweep"] = {}
+for n in json.loads(sys.argv[3]):
+    g = grid.make_grid(n, 40.0)
+    wt = variational.w_field(g, truncated=True)
+    state = dynamics.ZakharovState(1.3 * wt,
+                                   grid.RadialField(g, (1.3 * wt.values) ** 2))
+    cfg = dynamics.IntegratorConfig(dt=0.1, mode=dynamics.FULL,
+                                    adaptive=True, dt_floor=1e-6,
+                                    grad_ceiling_factor=7.0, monitor_every=5)
+    attempts[0] = 0
+    t0 = time.perf_counter()
+    dynamics.run(state, cfg, 2.4)
+    seconds = time.perf_counter() - t0
+    out["step_sweep"][n] = {"seconds": seconds, "attempts": attempts[0]}
 print(json.dumps(out))
 """
 
@@ -138,7 +166,8 @@ def bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def sweep_run(root: Path) -> dict:
     proc = subprocess.run([sys.executable, "-c", SWEEP_CODE,
-                           json.dumps(SWEEP_N), json.dumps(VIRIAL_N)],
+                           json.dumps(SWEEP_N), json.dumps(VIRIAL_N),
+                           json.dumps(STEP_N)],
                           cwd=root, env=blas_env(root), capture_output=True,
                           text=True, check=True)
     return last_json(proc.stdout)
@@ -244,6 +273,12 @@ def main(argv=None) -> int:
                        for s in sides}
                  for key in ("seconds", "kernel_passes")}
         for n in VIRIAL_N}
+    step_summary = {
+        str(n): {key: {s: statistics.median(r["step_sweep"][str(n)][key]
+                                            for r in sweep[s])
+                       for s in sides}
+                 for key in ("seconds", "attempts")}
+        for n in STEP_N}
 
     record = {"host": host(), "run_seconds": seconds,
               "commits": {s: commit_of(p) for s, p in sides.items()},
@@ -265,7 +300,16 @@ def main(argv=None) -> int:
                                        "t 0.5, R 10); raw runs under "
                                        "normal_form_sweep.runs, key "
                                        "rate_check",
-                               "median": virial_summary}}
+                               "median": virial_summary},
+              "step_sweep": {"data": "one adaptive full-mode run of the "
+                                     "blowup_trip data (1.3 times the "
+                                     "truncated W, r_max 40) from dt "
+                                     "0.1 to t 2.4, its "
+                                     "step_values calls counted as "
+                                     "attempts; raw runs under "
+                                     "normal_form_sweep.runs, key "
+                                     "step_sweep",
+                             "median": step_summary}}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -28,9 +28,18 @@ The sponge damps u and N by e^{-sigma dt / 2} on each side of the
 nonlinear substep, so a step stays symmetric and costs no extra pass
 (free mode then makes the two passes too); the damped N joins the
 forward pass.  In full mode the source is taken from the damped |u|^2
-between the two dampings and is not damped again.
+between the two dampings and is not damped again.  `step_values` writes
+the blocks each pass reads into the propagator's reused work blocks and
+returns new arrays, never views of those blocks.
+
 `run` returns to physical space only at monitor, store and adaptive-check
-instants (one backward pass each); `strichartz_probe` steps its whole
+instants, one backward pass each.  An adaptive attempt costs the step's 2
+passes plus 1 check pass (`_Propagator.check`: the physical [u, N], the
+spectral |grad u|_2^2 and flow_energy, with |u| formed once); a monitor
+row at an accepted step reuses that check instead of computing it again,
+and the only RadialFields `run` builds are those of its final state.
+Adaptive stepping is refused where the watched energy is not an invariant
+(linear_potential mode, the sponge).  `strichartz_probe` steps its whole
 ensemble as the u columns of one state that shares the free-wave column.
 
 Modes: "full" (everything on), "linear_potential" (wave source dropped: N
@@ -44,11 +53,11 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import (
+    FOURIER_NORM,
     RadialField,
     RadialGrid,
     SPECTRAL,
     SPHERE_S3,
-    gradient_norm_sq,
     lp_norm,
     smooth_transition,
     to_physical,
@@ -62,7 +71,12 @@ from .dyadic import (
     xdelta_from_profile,
 )
 from .normal_form import omega_tilde_self_spectra
-from .variational import nehari_K, w_profile, zakharov_energy
+from .variational import (
+    nehari_K,  # noqa: F401  (kept in this namespace for bench/tracing.py)
+    w_profile,
+    zakharov_energy,  # noqa: F401  (kept in this namespace for bench/tracing.py)
+    zakharov_energy_values,
+)
 
 FULL = "full"
 LINEAR_POTENTIAL = "linear_potential"
@@ -79,6 +93,8 @@ R_LOCAL = 10.0             # radius of the local-mass monitor
 PROBE_STORE_EVERY = 5      # probe steps between X^delta samples
 DECAY_FRACTION = 0.5       # scattering_like: decay below this share of the max
 GRAD_GROWTH_FACTOR = 5.0   # blowup_like, and run()'s grad_growth_5x event
+# |grad u|_2^2 = _GRAD_SCALE * sum(w_rho rho^2 |u_hat|^2), as gradient_norm_sq
+_GRAD_SCALE = SPHERE_S3 * FOURIER_NORM ** -2
 
 
 @dataclass
@@ -118,6 +134,11 @@ class IntegratorConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.adaptive and self.dt_floor <= 0:
             raise ValueError("adaptive stepping needs a positive dt floor")
+        # the drift rule watches flow_energy; the time-dependent Re N
+        # potential and the sponge's damping change it by design
+        if self.adaptive and (self.mode == LINEAR_POTENTIAL or self.sponge):
+            raise ValueError("adaptive stepping needs a conserved energy: "
+                             "not in linear_potential mode or with the sponge")
 
 
 @dataclass
@@ -160,13 +181,17 @@ class _Propagator:
 
     The state is spectral: u (n, m) and N (n, 1) column blocks, with m = 1
     in full mode (N is driven by |u|^2).  The phases and sponge factor are
-    kept for the current dt only.
+    kept for the current dt only.  Each kernel pass reads one of the
+    propagator's work blocks, which are reused from call to call; no array
+    the propagator returns is a view of one.
     """
 
     def __init__(self, grid: RadialGrid, cfg: IntegratorConfig):
         self.grid = grid
         self.cfg = cfg
         self._dt = None
+        self._blocks = {}
+        self._grad_weights = grid.quad_weights_rho * grid.rho_nodes**2
         if cfg.sponge:
             x = (grid.r_nodes / grid.r_max - SPONGE_START_FRACTION) / (
                 1.0 - SPONGE_START_FRACTION)
@@ -180,9 +205,18 @@ class _Propagator:
         rho = self.grid.rho_nodes[:, None]
         self._ph_u = np.exp(0.5j * dt * rho**2)
         self._ph_N = np.exp(0.5j * dt * rho)
+        self._source = 1j * dt * rho
         self._half_damp = (None if self.sponge_profile is None else
                            np.exp(-0.5 * dt * self.sponge_profile)[:, None])
         self._dt = dt
+
+    def _work(self, name: str, cols: int) -> np.ndarray:
+        """The (n, cols) complex work block `name`, allocated once per width."""
+        block = self._blocks.get(name)
+        if block is None or block.shape[1] != cols:
+            block = np.empty((self.grid.n, cols), np.complex128)
+            self._blocks[name] = block
+        return block
 
     def load(self, u: np.ndarray, N: np.ndarray):
         """Spectral state of physical u (n,) or (n, m) and N (n,): one pass."""
@@ -190,39 +224,68 @@ class _Propagator:
         spec = self.grid.to_spectral_values(np.column_stack([u, N]))
         return spec[:, :-1], spec[:, -1:]
 
-    def fields(self, u: np.ndarray, N: np.ndarray):
-        """Physical (u, N) fields of a one-column spectral state: one pass."""
-        phys = self.grid.to_physical_values(np.hstack([u, N]))
-        return (RadialField(self.grid, phys[:, 0].copy()),
-                RadialField(self.grid, phys[:, 1].copy()))
-
     def step_values(self, u: np.ndarray, N: np.ndarray, dt: float):
-        """One Strang step of the spectral blocks u (n, m) and N (n, 1)."""
+        """One Strang step of the spectral blocks u (n, m) and N (n, 1).
+
+        The half-step products are written into the work blocks the two
+        passes read; the returned (u, N) are new arrays.
+        """
         self._set_dt(dt)
         ph_u, ph_N, damp = self._ph_u, self._ph_N, self._half_damp
         mode = self.cfg.mode
-        u = ph_u * u
-        N = ph_N * N
-        if mode != FREE or damp is not None:
-            m = u.shape[1]
-            phys = self.grid.to_physical_values(np.hstack([u, N]))
-            up, Np = phys[:, :m], phys[:, m:]
-            if damp is not None:
-                up, Np = damp * up, damp * Np
-            # exact nonlinear substep: |u| and Re N stay constant in it
-            source = np.abs(up) ** 2 if mode == FULL else None
-            if mode != FREE:
-                up = up * np.exp(-1j * dt * Np.real)
-            forward = [up] if damp is None else [damp * up, damp * Np]
-            if source is not None:
-                forward.append(source)
-            spec = self.grid.to_spectral_values(np.hstack(forward))
-            u = spec[:, :m]
-            if damp is not None:
-                N = spec[:, m:m + 1]
-            if source is not None:
-                N = N - 1j * dt * self.grid.rho_nodes[:, None] * spec[:, -1:]
-        return ph_u * u, ph_N * N
+        if mode == FREE and damp is None:
+            return ph_u * (ph_u * u), ph_N * (ph_N * N)
+        m = u.shape[1]
+        back = self._work("back", m + 1)
+        np.multiply(ph_u, u, out=back[:, :m])
+        np.multiply(ph_N, N, out=back[:, m:])
+        phys = self.grid.to_physical_values(back)
+        if damp is not None:
+            phys *= damp
+        up, Np = phys[:, :m], phys[:, m:]
+        # exact nonlinear substep: |u| and Re N stay constant in it.  The
+        # forward block is [u..., damped N if a sponge is on, |u|^2 in full
+        # mode]
+        forward = self._work("forward",
+                             m + (damp is not None) + (mode == FULL))
+        if mode == FULL:
+            forward[:, -1:] = np.abs(up) ** 2
+        if mode == FREE:
+            forward[:, :m] = up
+        else:
+            np.multiply(up, np.exp(-1j * dt * Np.real), out=forward[:, :m])
+        if damp is not None:
+            forward[:, :m] *= damp
+            np.multiply(damp, Np, out=forward[:, m:m + 1])
+        spec = self.grid.to_spectral_values(forward)
+        N = back[:, m:] if damp is None else spec[:, m:m + 1]
+        if mode == FULL:
+            N = N - self._source * spec[:, -1:]
+        return ph_u * spec[:, :m], ph_N * N
+
+    def physical(self, u: np.ndarray, N: np.ndarray) -> np.ndarray:
+        """Physical block [u, N] (n, 2) of a one-column state: one pass."""
+        return self.grid.to_physical_values(
+            np.concatenate((u, N), axis=1, out=self._work("check", 2)))
+
+    def check(self, u: np.ndarray, N: np.ndarray, phys=None):
+        """(physical block [u, N], |grad u|_2^2, flow energy) of a
+        one-column spectral state.  One backward pass, none if `phys` is
+        given; the gradient is taken from the spectral u, and |u| is formed
+        once."""
+        if phys is None:
+            phys = self.physical(u, N)
+        grad_sq = float(_GRAD_SCALE * (self._grad_weights
+                                       * np.abs(u[:, 0]) ** 2).sum())
+        energy = flow_energy(self.grid, grad_sq, np.abs(phys[:, 0]) ** 2,
+                             phys[:, 1], self.cfg.mode)
+        return phys, grad_sq, energy
+
+
+def _state(grid: RadialGrid, phys: np.ndarray, t: float) -> ZakharovState:
+    """The state whose physical block [u, N] is phys (columns copied)."""
+    return ZakharovState(RadialField(grid, phys[:, 0].copy()),
+                         RadialField(grid, phys[:, 1].copy()), t)
 
 
 class BlowupError(RuntimeError):
@@ -235,42 +298,42 @@ def step(state: ZakharovState, cfg: IntegratorConfig,
     dt = cfg.dt if dt is None else dt
     prop = _Propagator(state.grid, cfg)
     u, N = prop.step_values(*prop.load(state.u.values, state.N.values), dt)
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(N))):
+    if not (np.isfinite(u).all() and np.isfinite(N).all()):
         raise BlowupError(f"non-finite state at t={state.t + dt:g}")
-    return ZakharovState(*prop.fields(u, N), state.t + dt)
+    return _state(state.grid, prop.physical(u, N), state.t + dt)
 
 
-def flow_energy(u: RadialField, N: RadialField, mode: str,
-                grad_sq: float | None = None) -> float:
-    """Conserved energy of the selected flow: E_Z in full mode, its
-    quadratic part when the coupling is off (the cross term is not an
-    invariant of the free flows).  `grad_sq` is |grad u|_2^2 if known."""
-    if grad_sq is None:
-        grad_sq = gradient_norm_sq(u)
-    if mode == FULL:
-        return zakharov_energy(u, N, grad_sq)
-    return 0.5 * (grad_sq + 0.5 * lp_norm(N, 2) ** 2)
+def flow_energy(grid: RadialGrid, grad_sq: float, u_sq: np.ndarray,
+                N: np.ndarray, mode: str) -> float:
+    """Conserved energy of the selected flow from |grad u|_2^2 and the
+    physical |u|^2 and N: E_Z in full mode, its quadratic part (E_Z with
+    the cross term's |u|^2 set to 0) when the coupling is off, since the
+    cross term is not an invariant of the free flows."""
+    return zakharov_energy_values(grid, grad_sq,
+                                  u_sq if mode == FULL else 0.0, N)
 
 
-def _grad_sq(grid: RadialGrid, u_spec: np.ndarray) -> float:
-    return gradient_norm_sq(RadialField(grid, u_spec[:, 0], SPECTRAL))
+def _monitor(log: RunLog, grid: RadialGrid, phys: np.ndarray, grad_sq: float,
+             energy: float, t: float, dt: float):
+    """Append one row from the physical block [u, N], |grad u|_2^2 and the
+    flow energy; |u| and |N| are formed once."""
+    w = grid.quad_weights_r
+    a_u, a_N = np.abs(phys[:, 0]), np.abs(phys[:, 1])
 
+    def norm(a, p):                      # lp_norm of a field with |f| = a
+        return float((SPHERE_S3 * (w * a**p).sum()) ** (1.0 / p))
 
-def _monitor(log: RunLog, u: RadialField, N: RadialField, grad_sq: float,
-             t, dt, cfg):
-    grid = u.grid
+    u_L4 = norm(a_u, 4)
     log.times.append(t)
-    log.mass.append(lp_norm(u, 2) ** 2)
-    log.energy_Z.append(flow_energy(u, N, cfg.mode, grad_sq))
+    log.mass.append(norm(a_u, 2) ** 2)
+    log.energy_Z.append(energy)
     log.grad_u.append(np.sqrt(grad_sq))
-    log.N_L2.append(lp_norm(N, 2))
-    log.u_L4.append(lp_norm(u, 4))
-    log.K_u.append(nehari_K(u, grad_sq))
+    log.N_L2.append(norm(a_N, 2))
+    log.u_L4.append(u_L4)
+    log.K_u.append(grad_sq - u_L4**4)    # nehari_K
     inside = grid.r_nodes < R_LOCAL
-    log.local_mass.append(np.sqrt(
-        SPHERE_S3 * np.sum((grid.quad_weights_r * np.abs(u.values) ** 2)[inside])))
-    p = 1.0 / (0.5 - S_DECAY / 4.0)
-    log.u_decay_norm.append(lp_norm(u, p))
+    log.local_mass.append(np.sqrt(SPHERE_S3 * np.sum((w * a_u**2)[inside])))
+    log.u_decay_norm.append(norm(a_u, 1.0 / (0.5 - S_DECAY / 4.0)))
     log.dt_hist.append(dt)
 
 
@@ -278,10 +341,13 @@ def run(state0: ZakharovState, cfg: IntegratorConfig, t_end: float,
         stop_when=None) -> RunLog:
     """Step to t_end (or a blow-up trip), logging every monitor_every steps.
 
-    Adaptive mode halves dt whenever the single-step E_Z drift estimate
+    Adaptive mode halves dt whenever the single-step drift of flow_energy
     exceeds DRIFT_TOL and trips blow-up when dt underflows or |grad u|
     exceeds the configured ceiling (past GRAD_GROWTH_FACTOR times its initial
-    value it logs grad_growth_5x).  Errors become events, never raises.
+    value it logs grad_growth_5x).  An adaptive attempt costs the step's 2
+    kernel passes plus 1 check pass (`_Propagator.check`), and a monitor
+    row at an accepted step reuses that check's physical block, gradient
+    and energy.  Errors become events, never raises.
     `stop_when(log) -> bool`, checked at monitor instants, allows early exit
     (verdict already established).  With store_every > 0, u and N at t0 and
     every store_every accepted steps are kept as physical columns and stacked
@@ -293,53 +359,55 @@ def run(state0: ZakharovState, cfg: IntegratorConfig, t_end: float,
     prop = _Propagator(grid, cfg)
     log = RunLog(sponge_active=cfg.sponge)
     u, N = prop.load(state0.u.values, state0.N.values)
-    phys = (state0.u, state0.N)      # physical fields of the state (u, N)
     t = state0.t
     dt = cfg.dt
 
-    _monitor(log, *phys, _grad_sq(grid, u), t, dt, cfg)
-    e_prev = log.energy_Z[0]
+    # phys: the physical block [u, N] of the accepted state, None if unknown
+    phys = np.column_stack([state0.u.values, state0.N.values])
+    checked = prop.check(u, N, phys)
+    _monitor(log, grid, *checked, t, dt)
+    e_prev = checked[2]
     grad_ceiling = cfg.grad_ceiling_factor * max(log.grad_u[0], 1e-12)
 
     store = cfg.store_every > 0
     if store:            # physical columns of u and N at the store instants
-        times_s, cols_u, cols_N = [t], [phys[0].values], [phys[1].values]
+        times_s, cols_u, cols_N = [t], [phys[:, 0]], [phys[:, 1]]
 
     k = 0
     while t < t_end - 1e-12:
         dt_step = min(dt, t_end - t)
         nu, nN = prop.step_values(u, N, dt_step)
-        finite = np.all(np.isfinite(nu)) and np.all(np.isfinite(nN))
-        new_phys = None
-        if cfg.adaptive and finite:
-            new_phys = prop.fields(nu, nN)
-            e_new = flow_energy(*new_phys, cfg.mode, _grad_sq(grid, nu))
-            scale = max(abs(e_prev), 1e-12)
-            if abs(e_new - e_prev) > DRIFT_TOL * scale:
-                if dt / 2.0 < cfg.dt_floor:
-                    log.add_event(t, "blowup", "dt underflow")
-                    break
-                dt = dt / 2.0
-                continue
-            e_prev = e_new
-        if not finite:
+        if not (np.isfinite(nu).all() and np.isfinite(nN).all()):
             if cfg.adaptive and dt / 2.0 >= cfg.dt_floor:
                 dt = dt / 2.0
                 continue
             log.add_event(t, "blowup", "non-finite values")
             break
-        u, N, phys, t = nu, nN, new_phys, t + dt_step
+        checked = None
+        if cfg.adaptive:
+            checked = prop.check(nu, nN)
+            if abs(checked[2] - e_prev) > DRIFT_TOL * max(abs(e_prev), 1e-12):
+                if dt / 2.0 < cfg.dt_floor:
+                    log.add_event(t, "blowup", "dt underflow")
+                    break
+                dt = dt / 2.0
+                continue
+            e_prev = checked[2]
+        u, N, t = nu, nN, t + dt_step
         k += 1
         store_now = store and k % cfg.store_every == 0
         monitor_now = k % cfg.monitor_every == 0 or t >= t_end - 1e-12
-        if phys is None and (store_now or monitor_now):
-            phys = prop.fields(u, N)
+        if checked is None and monitor_now:
+            checked = prop.check(u, N)
+        phys = None if checked is None else checked[0]
         if store_now:
+            if phys is None:
+                phys = prop.physical(u, N)
             times_s.append(t)
-            cols_u.append(phys[0].values)
-            cols_N.append(phys[1].values)
+            cols_u.append(phys[:, 0])
+            cols_N.append(phys[:, 1])
         if monitor_now:
-            _monitor(log, *phys, _grad_sq(grid, u), t, dt_step, cfg)
+            _monitor(log, grid, *checked, t, dt_step)
             if log.grad_u[-1] > grad_ceiling:
                 log.add_event(t, "blowup",
                               f"grad ceiling {grad_ceiling:.3g} exceeded")
@@ -358,8 +426,8 @@ def run(state0: ZakharovState, cfg: IntegratorConfig, t_end: float,
         log.traj_N = TrajectorySamples(grid, times_s, np.column_stack(cols_N),
                                        "N")
     if phys is None:
-        phys = prop.fields(u, N)
-    log.final_state = ZakharovState(phys[0].copy(), phys[1].copy(), t)
+        phys = prop.physical(u, N)
+    log.final_state = _state(grid, phys, t)
     return log
 
 

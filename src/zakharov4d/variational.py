@@ -117,10 +117,17 @@ def zakharov_energy(u: RadialField, N: RadialField,
     if grad_sq is None:
         grad_sq = gradient_norm_sq(u)
     uu = to_physical(u)
-    NN = to_physical(N)
-    w = uu.grid.quad_weights_r
-    cross = SPHERE_S3 * np.sum(w * np.real(NN.values) * np.abs(uu.values) ** 2)
-    return 0.5 * (grad_sq + 0.5 * lp_norm(N, 2) ** 2 - cross)
+    return zakharov_energy_values(uu.grid, grad_sq, np.abs(uu.values) ** 2,
+                                  to_physical(N).values)
+
+
+def zakharov_energy_values(grid: RadialGrid, grad_sq: float, u_sq: np.ndarray,
+                           N: np.ndarray) -> float:
+    """E_Z from arrays: |grad u|_2^2, and |u|^2 and N at the r nodes."""
+    w = grid.quad_weights_r
+    N_L2 = float((SPHERE_S3 * (w * np.abs(N) ** 2).sum()) ** 0.5)  # lp_norm
+    cross = SPHERE_S3 * (w * np.real(N) * u_sq).sum()
+    return float(0.5 * (grad_sq + 0.5 * N_L2**2 - cross))
 
 
 def functionals(u: RadialField, N: RadialField) -> EnergyReport:

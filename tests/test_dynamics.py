@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from zakharov4d.grid import (
+    SPHERE_S3,
     RadialField,
     RadialGrid,
     apply_multiplier,
     field,
+    gradient_norm_sq,
     lp_norm,
     make_grid,
     op_D,
@@ -14,15 +16,20 @@ from zakharov4d.dyadic import spacetime_norm_X
 from zakharov4d.dynamics import (
     BLOWUP_LIKE,
     CSV_COLUMNS,
+    DRIFT_TOL,
     FREE,
     FULL,
     INCONCLUSIVE,
     IntegratorConfig,
     LINEAR_POTENTIAL,
+    R_LOCAL,
     SCATTERING_LIKE,
+    S_DECAY,
     ZakharovState,
+    _Propagator,
     band_limited_unit_field,
     decompose_N,
+    flow_energy,
     potential_from_family,
     run,
     scattering_diagnostics,
@@ -33,6 +40,7 @@ from zakharov4d.normal_form import AngularQuadrature, omega_tilde
 from zakharov4d.variational import (
     ES_W_EXACT,
     gaussian_field,
+    nehari_K,
     w_field,
 )
 
@@ -112,6 +120,61 @@ class TestStep:
             IntegratorConfig(dt=0.0)
         with pytest.raises(ValueError):
             IntegratorConfig(mode="fancy")
+        # the drift rule needs an invariant: the time-dependent Re N
+        # potential and the sponge's damping change the watched energy
+        for kwargs in ({"mode": LINEAR_POTENTIAL}, {"sponge": True},
+                       {"mode": FREE, "sponge": True}):
+            with pytest.raises(ValueError, match="conserved energy"):
+                IntegratorConfig(adaptive=True, **kwargs)
+        IntegratorConfig(adaptive=True, mode=FREE)
+
+
+class TestStepBuffers:
+    @pytest.mark.parametrize("mode, m, sponge", [
+        (FULL, 1, False), (LINEAR_POTENTIAL, 3, False), (FULL, 1, True),
+        (FREE, 2, True)])
+    def test_outputs_own_their_memory(self, grid_small, mode, m, sponge):
+        # the half-steps go through reused work blocks; what step_values
+        # returns must be new arrays, and the inputs must stay as they were
+        g = grid_small
+        rng = np.random.default_rng(11)
+        prop = _Propagator(g, IntegratorConfig(dt=0.01, mode=mode,
+                                               sponge=sponge))
+        members = [band_limited_unit_field(g, rng).values for _ in range(m)]
+        u, N = prop.load(np.column_stack(members),
+                         gaussian_field(g, 0.3, 2.0).values)
+        u0, N0 = u.copy(), N.copy()
+        first = prop.step_values(u, N, 0.01)
+        second = prop.step_values(u, N, 0.01)
+        assert np.array_equal(u, u0) and np.array_equal(N, N0)
+        assert first[0].shape == (g.n, m) and first[1].shape == (g.n, 1)
+        for a, b in zip(first, second):
+            assert np.array_equal(a.view(np.float64), b.view(np.float64))
+        blocks = list(prop._blocks.values())
+        assert len(blocks) == 2
+        outputs = first + second
+        for i, out in enumerate(outputs):
+            for other in blocks + [u, N] + list(outputs[i + 1:]):
+                assert not np.shares_memory(out, other)
+
+    def test_run_feeds_each_output_back(self, grid_small, monkeypatch):
+        # an accepted step's u is the next call's input object (the traced
+        # benchmark counts accepted steps by this identity)
+        calls = []
+        original = _Propagator.step_values
+
+        def recorded(self, u, N, dt):
+            out = original(self, u, N, dt)
+            calls.append((u, out[0]))
+            return out
+
+        monkeypatch.setattr(_Propagator, "step_values", recorded)
+        run(gaussian_state(grid_small), IntegratorConfig(dt=1e-2, mode=FULL,
+                                                         monitor_every=3),
+            0.1)
+        assert len(calls) == 10
+        for (_, previous), (u_in, _) in zip(calls, calls[1:]):
+            assert u_in is previous
 
 
 class TestRun:
@@ -144,6 +207,64 @@ class TestRun:
         assert log.has_event("blowup")
         verdict = scattering_diagnostics(log)
         assert verdict.verdict == BLOWUP_LIKE
+
+    def test_adaptive_run_matches_stepwise_reference(self, grid_small):
+        # run()'s fused attempt (two step passes, one check pass, monitors
+        # reusing the check) against public steps, flow_energy and the
+        # DRIFT_TOL halving rule; dt halves twice, 0.2 -> 0.05
+        g = grid_small
+        state = ZakharovState(gaussian_field(g, 0.8, 1.4),
+                              gaussian_field(g, 0.6, 1.8))
+        cfg = IntegratorConfig(dt=0.2, mode=FULL, adaptive=True,
+                               monitor_every=1, store_every=3)
+        t_end = 2.0
+        log = run(state, cfg, t_end)
+
+        w, inside = g.quad_weights_r, g.r_nodes < R_LOCAL
+
+        def measure(s):
+            grad_sq = gradient_norm_sq(s.u)
+            return grad_sq, flow_energy(g, grad_sq, np.abs(s.u.values) ** 2,
+                                        s.N.values, FULL)
+
+        def row(s, grad_sq, energy, dt):
+            local = np.sqrt(SPHERE_S3 * np.sum(
+                (w * np.abs(s.u.values) ** 2)[inside]))
+            return (s.t, lp_norm(s.u, 2) ** 2, energy, np.sqrt(grad_sq),
+                    lp_norm(s.N, 2), lp_norm(s.u, 4), nehari_K(s.u, grad_sq),
+                    local, lp_norm(s.u, 1.0 / (0.5 - S_DECAY / 4.0)), dt)
+
+        s, dt = state, cfg.dt
+        grad_sq, e_prev = measure(s)
+        rows, states = [row(s, grad_sq, e_prev, dt)], [s]
+        while s.t < t_end - 1e-12:
+            dt_step = min(dt, t_end - s.t)
+            new = step(s, cfg, dt_step)
+            grad_sq, energy = measure(new)
+            if abs(energy - e_prev) > DRIFT_TOL * max(abs(e_prev), 1e-12):
+                dt /= 2.0
+                continue
+            s, e_prev = new, energy
+            rows.append(row(s, grad_sq, energy, dt_step))
+            states.append(s)
+
+        ref = np.array(rows)
+        got = np.array(log.as_rows())[:, :-1]
+        assert got.shape == ref.shape and len(ref) > 30
+        assert np.array_equal(got[:, 0], ref[:, 0])      # accepted times
+        assert np.array_equal(got[:, -1], ref[:, -1])    # dt_hist
+        assert {0.2, 0.1, 0.05} <= set(log.dt_hist)
+        rel = np.abs(got[:, 1:-1] - ref[:, 1:-1]) / np.abs(ref[:, 1:-1])
+        assert rel.max() < 1e-12
+        final = log.final_state
+        assert final.t == s.t
+        assert lp_norm(final.u - s.u, 2) < 1e-13 * lp_norm(s.u, 2)
+        assert lp_norm(final.N - s.N, 2) < 1e-13 * lp_norm(s.N, 2)
+        stored = states[::cfg.store_every]
+        assert np.array_equal(log.traj_u.times, [x.t for x in stored])
+        ref_u = np.column_stack([x.u.values for x in stored])
+        assert np.abs(log.traj_u.values - ref_u).max() < 1e-13 * np.abs(
+            ref_u).max()
 
     def test_early_exit_hook(self, grid_small):
         state = gaussian_state(grid_small)

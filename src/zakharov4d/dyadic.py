@@ -22,8 +22,6 @@ from .grid import (
     GridError,
     RadialField,
     RadialGrid,
-    SPHERE_S3,
-    FOURIER_NORM,
     apply_multiplier,
     to_spectral,
 )
@@ -77,11 +75,10 @@ def lp_project(f: RadialField, j: float) -> RadialField:
 
 def coverage_defect(f: RadialField) -> float:
     """Relative spectral mass of f outside the grid's dyadic range."""
-    spec = to_spectral(f)
-    total = chi_partition_sum(f.grid)
-    w = f.grid.quad_weights_rho
-    out = np.sum(w * np.abs(spec.values * (1.0 - total)) ** 2)
-    tot = np.sum(w * np.abs(spec.values) ** 2)
+    grid, spec = f.grid, to_spectral(f).values
+    out = grid.spectral_integral(
+        np.abs(spec * (1.0 - chi_partition_sum(grid))) ** 2)
+    tot = grid.spectral_integral(np.abs(spec) ** 2)
     return float(np.sqrt(out / tot)) if tot > 0 else 0.0
 
 
@@ -294,16 +291,15 @@ def dyadic_profile(spec: np.ndarray, grid: RadialGrid, s: float,
         return terms, block_l2
     chunk = max(1, SYNTHESIS_ENTRIES // (grid.n * nb))
     for lo in range(0, m, chunk):
-        pieces = spec[:, lo:lo + chunk, None] * cuts[:, None, :]
+        pieces = (spec[:, lo:lo + chunk, None]
+                  * cuts[:, None, :]).reshape(grid.n, -1)
         block_l2[lo:lo + chunk] = np.sqrt(
-            SPHERE_S3 * FOURIER_NORM**-2
-            * np.einsum("i,ikb->kb", grid.quad_weights_rho,
-                        np.abs(pieces) ** 2))
-        a = np.abs(grid.to_physical_values(pieces.reshape(grid.n, -1)))
+            grid.spectral_integral(np.abs(pieces) ** 2)).reshape(-1, nb)
+        a = np.abs(grid.to_physical_values(pieces))
         if np.isinf(p):
             norms = a.max(axis=0, initial=0.0)
         else:
-            norms = (SPHERE_S3 * (grid.quad_weights_r @ a**p)) ** (1.0 / p)
+            norms = grid.integral(a**p) ** (1.0 / p)
         terms[lo:lo + chunk] = js**s * norms.reshape(-1, nb)
     return terms, block_l2
 

@@ -53,11 +53,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import (
-    FOURIER_NORM,
     RadialField,
     RadialGrid,
     SPECTRAL,
-    SPHERE_S3,
     lp_norm,
     smooth_transition,
     to_physical,
@@ -93,8 +91,6 @@ R_LOCAL = 10.0             # radius of the local-mass monitor
 PROBE_STORE_EVERY = 5      # probe steps between X^delta samples
 DECAY_FRACTION = 0.5       # scattering_like: decay below this share of the max
 GRAD_GROWTH_FACTOR = 5.0   # blowup_like, and run()'s grad_growth_5x event
-# |grad u|_2^2 = _GRAD_SCALE * sum(w_rho rho^2 |u_hat|^2), as gradient_norm_sq
-_GRAD_SCALE = SPHERE_S3 * FOURIER_NORM ** -2
 
 
 @dataclass
@@ -134,6 +130,13 @@ class IntegratorConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.adaptive and self.dt_floor <= 0:
             raise ValueError("adaptive stepping needs a positive dt floor")
+        if self.monitor_every < 1:
+            raise ValueError(f"monitor_every {self.monitor_every} < 1")
+        if self.store_every < 0:
+            raise ValueError(f"store_every {self.store_every} < 0")
+        if self.grad_ceiling_factor <= 1:  # would trip on the first row
+            raise ValueError(
+                f"grad_ceiling_factor {self.grad_ceiling_factor} <= 1")
         # the drift rule watches flow_energy; the time-dependent Re N
         # potential and the sponge's damping change it by design
         if self.adaptive and (self.mode == LINEAR_POTENTIAL or self.sponge):
@@ -191,7 +194,6 @@ class _Propagator:
         self.cfg = cfg
         self._dt = None
         self._blocks = {}
-        self._grad_weights = grid.quad_weights_rho * grid.rho_nodes**2
         if cfg.sponge:
             x = (grid.r_nodes / grid.r_max - SPONGE_START_FRACTION) / (
                 1.0 - SPONGE_START_FRACTION)
@@ -275,8 +277,8 @@ class _Propagator:
         once."""
         if phys is None:
             phys = self.physical(u, N)
-        grad_sq = float(_GRAD_SCALE * (self._grad_weights
-                                       * np.abs(u[:, 0]) ** 2).sum())
+        grad_sq = float(self.grid.spectral_integral(
+            self.grid.rho_nodes**2 * np.abs(u[:, 0]) ** 2))
         energy = flow_energy(self.grid, grad_sq, np.abs(phys[:, 0]) ** 2,
                              phys[:, 1], self.cfg.mode)
         return phys, grad_sq, energy
@@ -317,23 +319,19 @@ def _monitor(log: RunLog, grid: RadialGrid, phys: np.ndarray, grad_sq: float,
              energy: float, t: float, dt: float):
     """Append one row from the physical block [u, N], |grad u|_2^2 and the
     flow energy; |u| and |N| are formed once."""
-    w = grid.quad_weights_r
     a_u, a_N = np.abs(phys[:, 0]), np.abs(phys[:, 1])
-
-    def norm(a, p):                      # lp_norm of a field with |f| = a
-        return float((SPHERE_S3 * (w * a**p).sum()) ** (1.0 / p))
-
-    u_L4 = norm(a_u, 4)
+    u_L4 = float(grid.integral(a_u**4) ** 0.25)
     log.times.append(t)
-    log.mass.append(norm(a_u, 2) ** 2)
+    log.mass.append(float(grid.integral(a_u**2)))
     log.energy_Z.append(energy)
     log.grad_u.append(np.sqrt(grad_sq))
-    log.N_L2.append(norm(a_N, 2))
+    log.N_L2.append(float(grid.integral(a_N**2) ** 0.5))
     log.u_L4.append(u_L4)
     log.K_u.append(grad_sq - u_L4**4)    # nehari_K
-    inside = grid.r_nodes < R_LOCAL
-    log.local_mass.append(np.sqrt(SPHERE_S3 * np.sum((w * a_u**2)[inside])))
-    log.u_decay_norm.append(norm(a_u, 1.0 / (0.5 - S_DECAY / 4.0)))
+    log.local_mass.append(
+        np.sqrt(grid.integral(np.where(grid.r_nodes < R_LOCAL, a_u**2, 0.0))))
+    p = 1.0 / (0.5 - S_DECAY / 4.0)
+    log.u_decay_norm.append(float(grid.integral(a_u**p) ** (1.0 / p)))
     log.dt_hist.append(dt)
 
 
@@ -538,8 +536,9 @@ def strichartz_probe(grid: RadialGrid, family: dict, delta: float,
     """
     horizons = np.sort(np.asarray(horizons, dtype=float))
     t_end = float(horizons[-1])
-    if t_end <= 0.0:
-        raise ValueError("the horizons must reach past t = 0")
+    if horizons[0] < 0.0 or t_end <= 0.0:   # each horizon T is a window [0, T]
+        raise ValueError(f"probe horizons {horizons.tolist()} must be >= 0 "
+                         "and reach past t = 0")
     s, p = xdelta_exponents(delta)
     V0 = potential_from_family(grid, family, rng)
     members = [band_limited_unit_field(grid, rng).values

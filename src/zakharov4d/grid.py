@@ -14,6 +14,13 @@ nearly its own inverse: max|M^2 - I| is 5.6e-9 at n = 64, 7.2e-10 at
 n = 128 and 8.8e-11 at n = 512 (r_max 30), a property of the quasi-discrete
 kernel, not roundoff, and every round trip carries (M^2 - I) f.
 
+Every integral over R^4 of radial samples is one of two grid methods:
+`integral` is SPHERE_S3 sum_k w_k values_k with the Dini weights
+quad_weights_r, `spectral_integral` the same sum with quad_weights_rho
+times the Plancherel factor (2 pi)^{-4}.  Both map (n,) to a float and
+(n, S) to (S,), each column summed pairwise as np.sum sums it alone, so a
+block equals its one-column calls bit for bit.
+
 Fields carry a space tag ("physical" or "spectral"); all operations below are
 pure and grids are immutable after construction.
 """
@@ -113,6 +120,17 @@ class RadialGrid:
     def __hash__(self):
         return hash((self.n, self.r_max))
 
+    def integral(self, values: np.ndarray):
+        """integral over R^4 of samples at the r nodes, (n,) -> float or
+        (n, S) -> (S,); a block equals its one-column calls bit for bit."""
+        return SPHERE_S3 * _column_sums(self.quad_weights_r, values)
+
+    def spectral_integral(self, values: np.ndarray):
+        """`integral` of samples at the rho nodes times (2 pi)^{-4}, so that
+        |F f|^2 gives |f|_2^2 (Plancherel)."""
+        return (SPHERE_S3 * FOURIER_NORM ** -2
+                * _column_sums(self.quad_weights_rho, values))
+
     # -- transforms ---------------------------------------------------------
 
     def _kernel_apply(self, columns: np.ndarray) -> np.ndarray:
@@ -162,6 +180,13 @@ class RadialGrid:
     def interior_mask(self) -> np.ndarray:
         """Nodes with r < INTERIOR_FRACTION * r_max, clear of the wall."""
         return self.r_nodes < INTERIOR_FRACTION * self.r_max
+
+
+def _column_sums(w: np.ndarray, values: np.ndarray):
+    """sum_k w_k values_k per column, pairwise as np.sum sums one column."""
+    if values.ndim == 1:
+        return (w * values).sum()
+    return np.multiply(w[:, None], values, order="F").sum(axis=0)
 
 
 @lru_cache(maxsize=8)
@@ -329,12 +354,18 @@ def op_laplacian(f: RadialField) -> RadialField:
 
 def low_frequency_fraction(f: RadialField):
     """Spectral-mass share and values of the lowest LOW_MODES coefficients."""
-    spec = to_spectral(f)
-    w = f.grid.quad_weights_rho
-    total = np.sum(w * np.abs(spec.values) ** 2)
-    low = np.sum((w * np.abs(spec.values) ** 2)[:LOW_MODES])
-    frac = 0.0 if total == 0 else low / total
-    return frac, spec.values[:LOW_MODES].copy()
+    spec = to_spectral(f).values
+    return float(low_mode_share(f.grid, spec)), spec[:LOW_MODES].copy()
+
+
+def low_mode_share(grid: RadialGrid, spec: np.ndarray):
+    """Share of the lowest LOW_MODES coefficients in the spectral mass of
+    spec, per column of an (n, S) block; 0 for a zero column."""
+    mass = np.abs(spec) ** 2
+    total = grid.spectral_integral(mass)
+    mass[LOW_MODES:] = 0.0
+    return np.divide(grid.spectral_integral(mass), total,
+                     out=np.zeros(np.shape(total)), where=total != 0)
 
 
 def lp_norm(f: RadialField, p: float) -> float:
@@ -345,24 +376,22 @@ def lp_norm(f: RadialField, p: float) -> float:
     a = np.abs(g.values)
     if np.isinf(p):
         return float(a.max(initial=0.0))
-    return float((SPHERE_S3 * np.sum(g.grid.quad_weights_r * a**p)) ** (1.0 / p))
+    return float(g.grid.integral(a**p) ** (1.0 / p))
 
 
 def inner(f: RadialField, g: RadialField) -> float:
     """Real pairing <f|g> = Re integral conj(f) g dx by quadrature."""
     _same_grid(f, g)
     ff, gg = to_physical(f), to_physical(g)
-    return float(SPHERE_S3 * np.sum(
-        ff.grid.quad_weights_r * np.real(np.conj(ff.values) * gg.values)))
+    return float(ff.grid.integral(np.real(np.conj(ff.values) * gg.values)))
 
 
 def gradient_norm_sq(f: RadialField) -> float:
     """|grad f|_2^2 = -Re<f|Lap f>, evaluated spectrally."""
     spec = to_spectral(f)
     grid = f.grid
-    return float(SPHERE_S3 * FOURIER_NORM ** -2
-                 * np.sum(grid.quad_weights_rho * grid.rho_nodes**2
-                          * np.abs(spec.values) ** 2))
+    return float(grid.spectral_integral(grid.rho_nodes**2
+                                        * np.abs(spec.values) ** 2))
 
 
 def radial_derivative(f: RadialField) -> RadialField:

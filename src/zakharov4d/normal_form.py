@@ -212,15 +212,6 @@ class _Term(NamedTuple):
     mirrored: bool = False
 
 
-def _sides(spec: BilinearKernelSpec, grid: RadialGrid) -> list:
-    """(f_range, g_range) block ranges of every side of spec's HL pairs:
-    the interpolated factor carries the high block j, the sigma factor the
-    telescoped lows.  This holds for the mirrored Omega_tilde terms as well,
-    so every kind has one side per HL range."""
-    return [((j, j), (lo, hi)) for j, lo, hi in
-            _block_ranges(grid, lambda j, k: _hl(j, k, spec.iota))]
-
-
 def _tilde_terms(fs, gs, iota, out):
     """Omega_tilde(f, g) on spectra fs, gs into out: the direct pairs (f on
     the high block) and the mirrored ones (g on the high block)."""
@@ -283,27 +274,29 @@ def _angle_runs(rho, sigma, nodes, t_lo, t_hi):
 def _sweep(grid, quad, terms):
     """Add every term's kernel sums to its accumulator.
 
-    The terms' sides are grouped by (f_range, g_range), and each group is
-    one geometry pass (_sweep_side), whatever the kernel kinds in it.
+    A term has one side per HL range (j, lo, hi) of its iota, mirrored
+    Omega_tilde terms included; the terms are grouped by HL range, and each
+    group is one geometry pass (_sweep_side), whatever its kernel kinds.
     """
     groups = {}
     for term in terms:
-        for side in _sides(term.spec, grid):
-            groups.setdefault(side, []).append(term)
-    for (f_range, g_range), group in groups.items():
-        _sweep_side(grid, quad, f_range, g_range, group)
+        iota = term.spec.iota
+        for hl_range in _block_ranges(grid, lambda j, k: _hl(j, k, iota)):
+            groups.setdefault(hl_range, []).append(term)
+    for hl_range, group in groups.items():
+        _sweep_side(grid, quad, hl_range, group)
 
 
-def _sweep_side(grid, quad, f_range, g_range, terms):
-    """Add the pairs of the interpolated factor's blocks f_range = (lo, hi)
-    with the sigma factor's blocks g_range for every term, skipping a term
-    whose side is below LIVE_BLOCK_RTOL.
+def _sweep_side(grid, quad, hl_range, terms):
+    """Add the pairs of the interpolated factor's block j with the sigma
+    factor's blocks lo..hi, hl_range = (j, lo, hi), for every term,
+    skipping a term whose side is below LIVE_BLOCK_RTOL.
 
     The sigma columns are the union of the terms' live columns; a term's g
-    weights are zero on the columns dead for it.  The cutoff
-    block_sum(tau, *f_range) vanishes off tau in (lo/2, 2 hi), so each
-    chunk of output rows is evaluated only over the bounding box of its
-    angle runs (see _angle_runs); every element left out has cut == 0.
+    weights are zero on the columns dead for it.  The cutoff chi0(tau / j)
+    vanishes off tau in (j/2, 2 j), so each chunk of output rows is
+    evaluated only over the bounding box of its angle runs (see
+    _angle_runs); every element left out has cut == 0.
     tau, the cutoff, the runs and one interpolation per distinct f
     spectrum are built once per chunk, and the terms on one spectrum run
     right after its interpolation, so one interpolated box is held at a
@@ -311,9 +304,10 @@ def _sweep_side(grid, quad, f_range, g_range, terms):
     mirrored term) and its real weights cut w_c / den.  A term with conj_f
     takes the conjugate angular sum, as interp(conj fs) = conj(interp fs).
     """
+    j, lo, hi = hl_range
     rho = grid.rho_nodes
-    f_cut = block_sum(rho, *f_range)
-    g_cut = block_sum(rho, *g_range)
+    f_cut = chi0(rho / j)
+    g_cut = block_sum(rho, lo, hi)
     # live terms with their g weights, keyed by their f spectrum
     by_f, live = {}, np.zeros(grid.n, dtype=bool)
     for term in terms:
@@ -332,7 +326,7 @@ def _sweep_side(grid, quad, f_range, g_range, terms):
     sigma = rho[cols_live]
     c = quad.nodes
     wc = quad.weights
-    k0, k1 = _angle_runs(rho, sigma, c, f_range[0] / 2.0, 2.0 * f_range[1])
+    k0, k1 = _angle_runs(rho, sigma, c, j / 2.0, 2.0 * j)
     runs = k1 > k0
     rows = np.nonzero(runs.any(axis=1))[0]
     for start in range(0, rows.size, _ROW_CHUNK):
@@ -345,7 +339,7 @@ def _sweep_side(grid, quad, f_range, g_range, terms):
         ss = sigma[cols][None, :, None]
         tau = np.sqrt(np.maximum(rr**2 + ss**2 - 2.0 * rr * ss * c[ka:kb],
                                  0.0))
-        cut = block_sum(tau, *f_range)
+        cut = chi0(tau / j)
         mask = cut > 0
         cut *= wc[ka:kb]
         # one weight buffer per chunk: entries off the mask stay zero
@@ -359,7 +353,7 @@ def _sweep_side(grid, quad, f_range, g_range, terms):
                         and np.abs(den[mask]).min() < DENOMINATOR_FLOOR):
                     raise KernelError(
                         f"{term.spec.kind} denominator vanished on restricted "
-                        f"support (f blocks {f_range}, g blocks {g_range})")
+                        f"support (f block {j:g}, g blocks {lo:g}..{hi:g})")
                 np.divide(cut, den, where=mask, out=weight)
                 angular = np.einsum("rck,rck->rc", weight, f_tau)
                 if term.conj_f:

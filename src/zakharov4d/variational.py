@@ -124,10 +124,9 @@ def zakharov_energy(u: RadialField, N: RadialField,
 def zakharov_energy_values(grid: RadialGrid, grad_sq: float, u_sq: np.ndarray,
                            N: np.ndarray) -> float:
     """E_Z from arrays: |grad u|_2^2, and |u|^2 and N at the r nodes."""
-    w = grid.quad_weights_r
-    N_L2 = float((SPHERE_S3 * (w * np.abs(N) ** 2).sum()) ** 0.5)  # lp_norm
-    cross = SPHERE_S3 * (w * np.real(N) * u_sq).sum()
-    return float(0.5 * (grad_sq + 0.5 * N_L2**2 - cross))
+    N_sq = grid.integral(np.abs(N) ** 2)
+    cross = grid.integral(np.real(N) * u_sq)
+    return float(0.5 * (grad_sq + 0.5 * N_sq - cross))
 
 
 def functionals(u: RadialField, N: RadialField) -> EnergyReport:

@@ -26,19 +26,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
-    FOURIER_NORM,
     GridError,
-    LOW_MODES,
     RadialField,
     RadialGrid,
-    SPHERE_S3,
+    inner,
+    low_mode_share,
     op_D,
     radial_derivative,
     radial_laplacian_fd,
     to_physical,
 )
 
-D = 4  # the grid (SPHERE_S3, order-1 kernel, FOURIER_NORM) is R^4-only
+D = 4  # the grid (S^3 measure, order-1 kernel) is R^4-only
 RICHARDSON_TOL = 0.1  # rate_check: 1- vs 2-stride disagreement allowed
 
 
@@ -132,12 +131,6 @@ class VirialWeights:
         return out
 
 
-def _integral(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """SPHERE_S3 * sum_k w_k x_k for each column of x (n, S), summed
-    pairwise as np.sum sums one column, so a block matches its columns."""
-    return SPHERE_S3 * np.sum(np.asfortranarray(w[:, None] * x), axis=0)
-
-
 def apply_As(grid: RadialGrid, f: np.ndarray, s: float) -> np.ndarray:
     """A_s f = r f_r + ((D + s)/2) f with the grid's FD derivative, on
     physical values: one column (n,) or a block (n, S)."""
@@ -159,15 +152,8 @@ def bilinear_commutator_beta(f: RadialField, g: RadialField,
                              weights: VirialWeights) -> float:
     """beta_R(f, g) = <h_R D f | D g> - <h_R grad f | grad g>."""
     ff, gg = to_physical(f), to_physical(g)
-    grid = ff.grid
-    Df, Dg = op_D(ff), op_D(gg)
-    fr, gr = radial_derivative(ff), radial_derivative(gg)
-    w = grid.quad_weights_r
-    term1 = SPHERE_S3 * np.sum(
-        w * weights.h * np.real(np.conj(Df.values) * Dg.values))
-    term2 = SPHERE_S3 * np.sum(
-        w * weights.h * np.real(np.conj(fr.values) * gr.values))
-    return float(term1 - term2)
+    return (inner(op_D(ff) * weights.h, op_D(gg))
+            - inner(radial_derivative(ff) * weights.h, radial_derivative(gg)))
 
 
 @dataclass
@@ -213,7 +199,6 @@ def virial_values(u: np.ndarray, N: np.ndarray,
         raise ValueError("state and weights live on different grids")
     u, N = np.reshape(u, (grid.n, -1)), np.reshape(N, (grid.n, -1))
     S, R = u.shape[1], weights.R
-    w = grid.quad_weights_r
     psi, r_dpsi = weights.psi[:, None], weights.r_dpsi[:, None]
     u_sq = np.abs(u) ** 2
     nu = N - u_sq
@@ -226,24 +211,24 @@ def virial_values(u: np.ndarray, N: np.ndarray,
 
     # V = <u|i(A_0 w + w A_0)u> + <D^-1 N|i(A_1 w + w A_1)N>/2 at w = psi_R, 1
     A0u, A1N = apply_As(grid, u, 0.0), apply_As(grid, N, 1.0)
-    V_R = (_integral(w, np.real(np.conj(u) * 1j * (
+    V_R = (grid.integral(np.real(np.conj(u) * 1j * (
                apply_As(grid, psi * u, 0.0) + psi * A0u)))
-           + 0.5 * _integral(w, np.real(np.conj(eta_N) * 1j * (
+           + 0.5 * grid.integral(np.real(np.conj(eta_N) * 1j * (
                apply_As(grid, psi * N, 1.0) + psi * A1N))))
-    V_inf = (_integral(w, np.real(np.conj(u) * 1j * (A0u + A0u)))
-             + 0.5 * _integral(w, np.real(np.conj(eta_N) * 1j * (A1N + A1N))))
+    V_inf = (grid.integral(np.real(np.conj(u) * 1j * (A0u + A0u)))
+             + 0.5 * grid.integral(np.real(np.conj(eta_N) * 1j * (A1N + A1N))))
 
     eta_r = grid.derivative_matrix() @ eta
     u_r = grid.derivative_matrix() @ u
 
     # NS per the general-psi identity (angular term absent for radial u)
-    NS = _integral(w, (
+    NS = grid.integral((
         4.0 * psi * np.abs(u_r) ** 2
         + 4.0 * r_dpsi * np.abs(u_r) ** 2
         - weights.A_d_psi[:, None] * np.abs(u) ** 4
         - (weights.A_dp4_lap_psi[:, None] / R**2) * u_sq))
 
-    QN = _integral(w, (
+    QN = grid.integral((
         0.5 * psi * np.abs(nu) ** 2
         + 0.5 * psi * np.abs(eta_r) ** 2
         + r_dpsi * np.abs(eta_r) ** 2
@@ -252,22 +237,19 @@ def virial_values(u: np.ndarray, N: np.ndarray,
     brace_psi, brace_rdp = np.hsplit(commutator_brace(
         grid, np.repeat(np.hstack([psi, r_dpsi]), S, axis=1),
         np.hstack([apply_As(grid, u_sq, 1.0), u_sq])), 2)
-    CC3p = _integral(w, nu.real * np.real(brace_psi + 0.5 * brace_rdp))
-    CC = -_integral(w, nu.real * u_sq * weights.A_dm2_psi[:, None]) + CC3p
+    CC3p = grid.integral(nu.real * np.real(brace_psi + 0.5 * brace_rdp))
+    CC = -grid.integral(nu.real * u_sq * weights.A_dm2_psi[:, None]) + CC3p
 
-    grad_sq = FOURIER_NORM ** -2 * _integral(
-        grid.quad_weights_rho * grid.rho_nodes**2,
-        np.abs(spec[:, 2 * S:]) ** 2)
-    K = grad_sq - _integral(w, np.abs(u) ** 4)
-    nu_L2 = _integral(w, np.abs(nu) ** 2) ** 0.5
-    rate_inf = 4.0 * K + nu_L2**2 - (D - 1) * _integral(w, nu.real * u_sq)
+    grad_sq = grid.spectral_integral(grid.rho_nodes[:, None] ** 2
+                                     * np.abs(spec[:, 2 * S:]) ** 2)
+    K = grad_sq - grid.integral(np.abs(u) ** 4)
+    nu_L2 = grid.integral(np.abs(nu) ** 2) ** 0.5
+    rate_inf = 4.0 * K + nu_L2**2 - (D - 1) * grid.integral(nu.real * u_sq)
 
-    mass = grid.quad_weights_rho[:, None] * np.abs(eta_hat[:, S:]) ** 2
-    low_frac = np.divide(mass[:LOW_MODES].sum(axis=0), mass.sum(axis=0),
-                         out=np.zeros(S), where=mass.any(axis=0))
     return VirialBreakdown(V_R=V_R, NS=NS, QN=QN, CC=CC, CC3p=CC3p,
                            V_inf=V_inf, rate_inf=rate_inf, nu_L2=nu_L2,
-                           eta_low_fraction=low_frac)
+                           eta_low_fraction=low_mode_share(grid,
+                                                           eta_hat[:, S:]))
 
 
 class StrideError(RuntimeError):

@@ -127,6 +127,17 @@ class TestStep:
             with pytest.raises(ValueError, match="conserved energy"):
                 IntegratorConfig(adaptive=True, **kwargs)
         IntegratorConfig(adaptive=True, mode=FREE)
+        # refused up front instead of failing or misleading inside run: a
+        # zero monitor stride divides by zero, a negative store stride keeps
+        # nothing, and a ceiling at or below 1x trips on the first row
+        for kwargs, name in (({"monitor_every": 0}, "monitor_every"),
+                             ({"store_every": -1}, "store_every"),
+                             ({"grad_ceiling_factor": 1.0},
+                              "grad_ceiling_factor")):
+            with pytest.raises(ValueError, match=name):
+                IntegratorConfig(**kwargs)
+        IntegratorConfig(monitor_every=1, store_every=0,
+                         grad_ceiling_factor=7.0)
 
 
 class TestStepBuffers:
@@ -473,6 +484,11 @@ class TestStrichartzProbe:
         # endpoint Strichartz: the ratio has already plateaued
         assert est.max_ratio[2] < 1.01 * est.max_ratio[1]
         assert est.max_ratio[2] < 3.0
+
+    def test_rejects_negative_horizon(self, grid_small):
+        with pytest.raises(ValueError, match=r"horizons \[-1\.0, 2\.0\]"):
+            strichartz_probe(grid_small, {"kind": "zero"}, 0.0, 1,
+                             [-1.0, 2.0], np.random.default_rng(0), dt=0.05)
 
     def test_matches_per_member_reference(self, grid_small):
         family = {"kind": "gaussian_mass", "mass": 2.0, "width": 2.0}

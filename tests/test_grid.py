@@ -219,6 +219,41 @@ class TestNorms:
         assert lp_norm(lam * f, 3) == pytest.approx(abs(lam) * lp_norm(f, 3), abs=1e-13)
 
 
+class TestQuadrature:
+    def test_block_matches_one_column_calls(self, grid_small):
+        # each column of a block is summed as np.sum sums it alone, so the
+        # block integrals equal the one-column calls bit for bit
+        g, rng = grid_small, np.random.default_rng(8)
+        block = rng.standard_normal((g.n, 7)) * np.exp(
+            4.0 * rng.standard_normal((g.n, 7)))
+        for values in (block, np.asfortranarray(block), block[:, ::2]):
+            for integrate in (g.integral, g.spectral_integral):
+                out = integrate(values)
+                assert out.shape == (values.shape[1],)
+                assert np.array_equal(
+                    out, [integrate(col) for col in values.T])
+        assert isinstance(g.integral(block[:, 0]), float)
+
+    def test_gaussian_integral(self, grid_medium):
+        # integral over R^4 of e^{-r^2} is pi^2
+        g = grid_medium
+        assert g.integral(np.exp(-g.r_nodes**2)) == pytest.approx(
+            np.pi**2, rel=1e-12)
+        assert g.spectral_integral(FOURIER_NORM**2 * np.exp(-g.rho_nodes**2)
+                                   ) == pytest.approx(np.pi**2, rel=1e-12)
+
+    def test_field_functions_are_integrals(self, grid_medium, rng):
+        g = grid_medium
+        f, h = band_limited(g, rng), band_limited(g, rng)
+        a = np.abs(f.values)
+        for p in (1, 2, 2.5, 4):
+            assert lp_norm(f, p) == g.integral(a**p) ** (1.0 / p)
+        assert inner(f, h) == g.integral(
+            np.real(np.conj(f.values) * h.values))
+        assert gradient_norm_sq(f) == g.spectral_integral(
+            g.rho_nodes**2 * np.abs(to_spectral(f).values) ** 2)
+
+
 class TestInnerAndGradient:
     def test_inner_w_w3(self):
         g = make_grid(4096, 400.0)

@@ -1,6 +1,7 @@
 """Source hygiene: every imported name is used where it is imported.
 
-A stdlib ``ast`` scan of the package and the tests.  An import counts as
+A stdlib ``ast`` scan of the package, the tests, the scripts and the
+benchmark (read only).  An import counts as
 used when its bound name is read anywhere in the enclosing function (or the
 module, for module-level imports).  A ``# noqa: F401`` on any line of the
 import statement keeps a deliberate re-export.
@@ -12,8 +13,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted((ROOT / "src" / "zakharov4d").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py"))
+SOURCES = [path for folder in ("src/zakharov4d", "tests", "scripts", "bench")
+           for path in sorted((ROOT / folder).glob("*.py"))]
 
 
 def _unused_imports(path: Path) -> list:

@@ -144,8 +144,8 @@ def commutator_brace(grid: RadialGrid, weight: np.ndarray,
     real radial weights f of g's shape: four kernel passes whatever S is."""
     rho = grid.rho_nodes.reshape((-1,) + (1,) * (g.ndim - 1))
     eta = grid.to_physical_values(grid.to_spectral_values(g) * (1.0 / rho))
-    inner = grid.to_spectral_values(weight * eta) * rho
-    return grid.to_physical_values(inner) - weight * g
+    d_weighted = grid.to_spectral_values(weight * eta) * rho
+    return grid.to_physical_values(d_weighted) - weight * g
 
 
 def bilinear_commutator_beta(f: RadialField, g: RadialField,

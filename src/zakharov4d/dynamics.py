@@ -14,9 +14,11 @@ rotation, which is what keeps the mass drift at transform roundoff over
 10^4 steps.
 
 The stepping kernel `_Propagator` keeps the state spectral, as column
-blocks u (n, m) and N (n, 1): the half-steps are pointwise phase
+blocks u (n, m) and N (n, k): the half-steps are pointwise phase
 multiplies, and each kernel pass (a dense n x n product) carries every
-column at once.  Per step, by mode:
+column at once.  N is one column shared by the u columns (the probe's
+potential) or paired with u column by column (full mode), and a paired
+call may advance each column by its own step.  Per step, by mode:
 
     full              2 passes: [u, N] backward for the nonlinear substep,
                       [u, |u|^2] forward (the source enters as -i dt rho
@@ -32,15 +34,16 @@ between the two dampings and is not damped again.  `step_values` writes
 the blocks each pass reads into the propagator's reused work blocks and
 returns new arrays, never views of those blocks.
 
-`run` returns to physical space only at monitor, store and adaptive-check
-instants, one backward pass each.  An adaptive attempt costs the step's 2
-passes plus 1 check pass (`_Propagator.check`: the physical [u, N], the
-spectral |grad u|_2^2 and flow_energy, with |u| formed once); a monitor
-row at an accepted step reuses that check instead of computing it again,
-and the only RadialFields `run` builds are those of its final state.
-Adaptive stepping is refused where the watched energy is not an invariant
-(linear_potential mode, the sponge).  `strichartz_probe` steps its whole
-ensemble as the u columns of one state that shares the free-wave column.
+`run` returns to physical space only at monitor and store instants, one
+backward pass each, and the only RadialFields it builds are those of its
+final state.  Adaptive mode controls dt by step doubling with Richardson's
+error estimate (Hairer, Norsett & Wanner, Solving ODEs I, II.4): an
+attempt is 2 kernel calls and 4 passes, one paired call giving S_h and
+S_{h/2} and one giving the second half step, with no check pass, and it
+needs no conserved quantity.  Adaptive stepping is still refused in
+linear_potential mode and with the sponge, which are not tested
+adaptively.  `strichartz_probe` steps its whole ensemble as the u columns
+of one state that shares the free-wave column.
 
 Modes: "full" (everything on), "linear_potential" (wave source dropped: N
 evolves freely, u still sees Re N), "free" (all nonlinearities off).
@@ -84,7 +87,10 @@ SCATTERING_LIKE = "scattering_like"
 BLOWUP_LIKE = "blowup_like"
 INCONCLUSIVE = "inconclusive"
 
-DRIFT_TOL = 1e-5           # per-step relative E_Z drift triggering a halving
+ERR_TOL = 1e-8             # largest relative Richardson error accepted
+STEP_SAFETY, STEP_SHRINK, STEP_GROW = 0.9, 0.2, 2.0  # see _step_factor
+HALVES = (1.0, 0.5)        # step fractions of an attempt's paired call
+PHASE_CACHE = 4            # step sizes whose phases a propagator keeps
 SPONGE_STRENGTH, SPONGE_START_FRACTION = 5.0, 0.8  # start: share of r_max
 S_DECAY = 0.5              # s in the L^{2(-s)} scattering monitor
 R_LOCAL = 10.0             # radius of the local-mass monitor
@@ -137,11 +143,12 @@ class IntegratorConfig:
         if self.grad_ceiling_factor <= 1:  # would trip on the first row
             raise ValueError(
                 f"grad_ceiling_factor {self.grad_ceiling_factor} <= 1")
-        # the drift rule watches flow_energy; the time-dependent Re N
-        # potential and the sponge's damping change it by design
+        # the step-doubling controller needs no invariant, but only full and
+        # free modes without the sponge are tested adaptively; the refusal
+        # stays until the other cases are
         if self.adaptive and (self.mode == LINEAR_POTENTIAL or self.sponge):
-            raise ValueError("adaptive stepping needs a conserved energy: "
-                             "not in linear_potential mode or with the sponge")
+            raise ValueError("adaptive stepping is tested only in full and "
+                             "free modes without the sponge")
 
 
 @dataclass
@@ -157,6 +164,9 @@ class RunLog:
     u_decay_norm: list = dc_field(default_factory=list)
     dt_hist: list = dc_field(default_factory=list)
     sponge_active: bool = False
+    attempts: int = 0              # accepted steps = attempts - rejected
+    rejected: int = 0              # error rejections and non-finite attempts
+    err_max: float | None = None   # largest accepted err (adaptive runs)
     events: list = dc_field(default_factory=list)
     traj_u: TrajectorySamples | None = None
     traj_N: TrajectorySamples | None = None
@@ -182,17 +192,19 @@ CSV_COLUMNS = ("t", "mass", "energy_Z", "grad_u_L2", "N_L2", "u_L4", "K_u",
 class _Propagator:
     """The Strang stepping kernel for one (grid, cfg).
 
-    The state is spectral: u (n, m) and N (n, 1) column blocks, with m = 1
-    in full mode (N is driven by |u|^2).  The phases and sponge factor are
-    kept for the current dt only.  Each kernel pass reads one of the
-    propagator's work blocks, which are reused from call to call; no array
-    the propagator returns is a view of one.
+    The state is spectral: u (n, m) and N (n, k) column blocks.  N is
+    either one column shared by every u column (k = 1, as the probe's
+    potential) or paired with u column by column (k = m, full mode), and a
+    paired call may advance each column by its own step.  The phases and
+    sponge factor are cached per step size.  Each kernel pass reads one of
+    the propagator's work blocks, kept per width and reused from call to
+    call; no array the propagator returns is a view of one.
     """
 
     def __init__(self, grid: RadialGrid, cfg: IntegratorConfig):
         self.grid = grid
         self.cfg = cfg
-        self._dt = None
+        self._phases = {}
         self._blocks = {}
         if cfg.sponge:
             x = (grid.r_nodes / grid.r_max - SPONGE_START_FRACTION) / (
@@ -201,23 +213,27 @@ class _Propagator:
         else:
             self.sponge_profile = None
 
-    def _set_dt(self, dt: float):
-        if dt == self._dt:
-            return
-        rho = self.grid.rho_nodes[:, None]
-        self._ph_u = np.exp(0.5j * dt * rho**2)
-        self._ph_N = np.exp(0.5j * dt * rho)
-        self._source = 1j * dt * rho
-        self._half_damp = (None if self.sponge_profile is None else
-                           np.exp(-0.5 * dt * self.sponge_profile)[:, None])
-        self._dt = dt
+    def _phase(self, dt: float):
+        """(u phase, N phase, source factor, sponge half-damping or None) as
+        (n, 1) columns for the step dt, cached for the last PHASE_CACHE dt."""
+        ph = self._phases.get(dt)
+        if ph is None:
+            if len(self._phases) >= PHASE_CACHE:
+                del self._phases[next(iter(self._phases))]
+            rho = self.grid.rho_nodes[:, None]
+            ph = (np.exp(0.5j * dt * self.grid.rho_sq[:, None]),
+                  np.exp(0.5j * dt * rho), 1j * dt * rho,
+                  None if self.sponge_profile is None else
+                  np.exp(-0.5 * dt * self.sponge_profile)[:, None])
+            self._phases[dt] = ph
+        return ph
 
-    def _work(self, name: str, cols: int) -> np.ndarray:
-        """The (n, cols) complex work block `name`, allocated once per width."""
-        block = self._blocks.get(name)
-        if block is None or block.shape[1] != cols:
-            block = np.empty((self.grid.n, cols), np.complex128)
-            self._blocks[name] = block
+    def _work(self, name: str, cols: int, dtype=np.complex128) -> np.ndarray:
+        """The (n, cols) work block `name`, allocated once per width."""
+        block = self._blocks.get((name, cols))
+        if block is None:
+            block = np.empty((self.grid.n, cols), dtype)
+            self._blocks[name, cols] = block
         return block
 
     def load(self, u: np.ndarray, N: np.ndarray):
@@ -226,43 +242,59 @@ class _Propagator:
         spec = self.grid.to_spectral_values(np.column_stack([u, N]))
         return spec[:, :-1], spec[:, -1:]
 
-    def step_values(self, u: np.ndarray, N: np.ndarray, dt: float):
-        """One Strang step of the spectral blocks u (n, m) and N (n, 1).
+    def step_values(self, u: np.ndarray, N: np.ndarray, dt: float,
+                    fractions=None):
+        """One Strang step of the spectral blocks u (n, m) and N (n, k).
 
-        The half-step products are written into the work blocks the two
-        passes read; the returned (u, N) are new arrays.
+        With `fractions` (length m), column j of the paired state advances
+        by dt * fractions[j]; one-column u and N broadcast against them, so
+        [u, u] / [N, N] at steps (h, h/2) is one call on u (n, 1) and
+        N (n, 1) with fractions HALVES.  The half-step products are written
+        into the work blocks the two passes read; the returned (u, N) are
+        new arrays.
         """
-        self._set_dt(dt)
-        ph_u, ph_N, damp = self._ph_u, self._ph_N, self._half_damp
+        if fractions is None:
+            ph_u, ph_N, source, damp = self._phase(dt)
+        else:            # each factor's columns side by side in a work block
+            steps = [self._phase(dt * f) for f in fractions]
+            ph_u, ph_N, source, damp = (
+                None if cols[0] is None else np.concatenate(
+                    cols, axis=1,
+                    out=self._work(name, len(cols), cols[0].dtype))
+                for name, cols in zip(("ph_u", "ph_N", "source", "damp"),
+                                      zip(*steps)))
+            dt = dt * np.asarray(fractions)
         mode = self.cfg.mode
         if mode == FREE and damp is None:
             return ph_u * (ph_u * u), ph_N * (ph_N * N)
-        m = u.shape[1]
-        back = self._work("back", m + 1)
+        m = max(ph_u.shape[1], u.shape[1])
+        k = max(ph_N.shape[1], N.shape[1])
+        back = self._work("back", m + k)
         np.multiply(ph_u, u, out=back[:, :m])
         np.multiply(ph_N, N, out=back[:, m:])
         phys = self.grid.to_physical_values(back)
-        if damp is not None:
-            phys *= damp
         up, Np = phys[:, :m], phys[:, m:]
+        if damp is not None:
+            up *= damp
+            Np *= damp
         # exact nonlinear substep: |u| and Re N stay constant in it.  The
         # forward block is [u..., damped N if a sponge is on, |u|^2 in full
         # mode]
-        forward = self._work("forward",
-                             m + (damp is not None) + (mode == FULL))
+        kd = 0 if damp is None else k
+        forward = self._work("forward", m + kd + (m if mode == FULL else 0))
         if mode == FULL:
-            forward[:, -1:] = np.abs(up) ** 2
+            forward[:, m + kd:] = np.abs(up) ** 2
         if mode == FREE:
             forward[:, :m] = up
         else:
             np.multiply(up, np.exp(-1j * dt * Np.real), out=forward[:, :m])
         if damp is not None:
             forward[:, :m] *= damp
-            np.multiply(damp, Np, out=forward[:, m:m + 1])
+            np.multiply(damp, Np, out=forward[:, m:m + k])
         spec = self.grid.to_spectral_values(forward)
-        N = back[:, m:] if damp is None else spec[:, m:m + 1]
+        N = back[:, m:] if damp is None else spec[:, m:m + k]
         if mode == FULL:
-            N = N - self._source * spec[:, -1:]
+            N = N - source * spec[:, m + kd:]
         return ph_u * spec[:, :m], ph_N * N
 
     def physical(self, u: np.ndarray, N: np.ndarray) -> np.ndarray:
@@ -277,11 +309,31 @@ class _Propagator:
         once."""
         if phys is None:
             phys = self.physical(u, N)
-        grad_sq = float(self.grid.spectral_integral(
-            self.grid.rho_nodes**2 * np.abs(u[:, 0]) ** 2))
+        grad_sq = float(self.grid.gradient_sq(u[:, 0]))
         energy = flow_energy(self.grid, grad_sq, np.abs(phys[:, 0]) ** 2,
                              phys[:, 1], self.cfg.mode)
         return phys, grad_sq, energy
+
+
+def _richardson_error(grid: RadialGrid, coarse_u, coarse_N, fine_u,
+                      fine_N) -> float:
+    """|S_h - S_{h/2}^2|_2 / 3 over u and N, relative to |S_{h/2}^2|_2, from
+    spectral columns (n,): the Richardson estimate of the local error of
+    two Strang half steps, whose error is O(h^3).  Non-finite when either
+    state is."""
+    diff = grid.spectral_integral(np.abs(coarse_u - fine_u) ** 2
+                                  + np.abs(coarse_N - fine_N) ** 2)
+    norm = grid.spectral_integral(np.abs(fine_u) ** 2 + np.abs(fine_N) ** 2)
+    return float(np.sqrt(diff / max(norm, np.finfo(float).tiny)) / 3.0)
+
+
+def _step_factor(err: float) -> float:
+    """The next step over this one: STEP_SAFETY (ERR_TOL / err)^(1/3),
+    clipped to [STEP_SHRINK, STEP_GROW]."""
+    if err <= 0.0:
+        return STEP_GROW
+    return min(STEP_GROW, max(STEP_SHRINK,
+                              STEP_SAFETY * (ERR_TOL / err) ** (1.0 / 3.0)))
 
 
 def _state(grid: RadialGrid, phys: np.ndarray, t: float) -> ZakharovState:
@@ -339,13 +391,20 @@ def run(state0: ZakharovState, cfg: IntegratorConfig, t_end: float,
         stop_when=None) -> RunLog:
     """Step to t_end (or a blow-up trip), logging every monitor_every steps.
 
-    Adaptive mode halves dt whenever the single-step drift of flow_energy
-    exceeds DRIFT_TOL and trips blow-up when dt underflows or |grad u|
-    exceeds the configured ceiling (past GRAD_GROWTH_FACTOR times its initial
-    value it logs grad_growth_5x).  An adaptive attempt costs the step's 2
-    kernel passes plus 1 check pass (`_Propagator.check`), and a monitor
-    row at an accepted step reuses that check's physical block, gradient
-    and energy.  Errors become events, never raises.
+    Adaptive mode controls dt by step doubling.  An attempt at step h is
+    two kernel calls: one paired call takes [u, u] / [N, N] by (h, h/2) to
+    S_h and S_{h/2} (2 passes of 4 columns), and one call takes the second
+    half step, S_{h/2}^2 (2 passes of 2 columns); there is no check pass.
+    err = |S_h - S_{h/2}^2|_2 / 3 relative to the state
+    (`_richardson_error`) rejects the attempt above ERR_TOL, and either way
+    the next step is h times `_step_factor(err)`, so dt may grow past
+    cfg.dt, the initial step.  The accepted state is S_{h/2}^2, never the
+    extrapolation (which is not unitary).  A non-finite attempt halves the
+    step; blow-up trips when a step would fall below dt_floor or |grad u|
+    exceeds the configured ceiling (past GRAD_GROWTH_FACTOR times its
+    initial value it logs grad_growth_5x).  The log counts attempts and
+    rejections and keeps the largest accepted err.  A monitor row costs one
+    backward pass (`_Propagator.check`).  Errors become events, never raise.
     `stop_when(log) -> bool`, checked at monitor instants, allows early exit
     (verdict already established).  With store_every > 0, u and N at t0 and
     every store_every accepted steps are kept as physical columns and stacked
@@ -355,16 +414,15 @@ def run(state0: ZakharovState, cfg: IntegratorConfig, t_end: float,
         raise ValueError("t_end must exceed the initial time")
     grid = state0.grid
     prop = _Propagator(grid, cfg)
-    log = RunLog(sponge_active=cfg.sponge)
+    log = RunLog(sponge_active=cfg.sponge,
+                 err_max=0.0 if cfg.adaptive else None)
     u, N = prop.load(state0.u.values, state0.N.values)
     t = state0.t
     dt = cfg.dt
 
     # phys: the physical block [u, N] of the accepted state, None if unknown
     phys = np.column_stack([state0.u.values, state0.N.values])
-    checked = prop.check(u, N, phys)
-    _monitor(log, grid, *checked, t, dt)
-    e_prev = checked[2]
+    _monitor(log, grid, *prop.check(u, N, phys), t, dt)
     grad_ceiling = cfg.grad_ceiling_factor * max(log.grad_u[0], 1e-12)
 
     store = cfg.store_every > 0
@@ -373,31 +431,41 @@ def run(state0: ZakharovState, cfg: IntegratorConfig, t_end: float,
 
     k = 0
     while t < t_end - 1e-12:
-        dt_step = min(dt, t_end - t)
-        nu, nN = prop.step_values(u, N, dt_step)
-        if not (np.isfinite(nu).all() and np.isfinite(nN).all()):
-            if cfg.adaptive and dt / 2.0 >= cfg.dt_floor:
-                dt = dt / 2.0
+        h = min(dt, t_end - t)
+        log.attempts += 1
+        if cfg.adaptive:
+            pu, pN = prop.step_values(u, N, h, HALVES)
+            nu, nN = prop.step_values(pu[:, 1:], pN[:, 1:], 0.5 * h)
+            err = _richardson_error(grid, pu[:, 0], pN[:, 0], nu[:, 0],
+                                    nN[:, 0])
+            finite = np.isfinite(err)
+        else:
+            nu, nN = prop.step_values(u, N, h)
+            finite = np.isfinite(nu).all() and np.isfinite(nN).all()
+        if not finite:
+            log.rejected += 1
+            if cfg.adaptive and h / 2.0 >= cfg.dt_floor:
+                dt = h / 2.0
                 continue
             log.add_event(t, "blowup", "non-finite values")
             break
-        checked = None
         if cfg.adaptive:
-            checked = prop.check(nu, nN)
-            if abs(checked[2] - e_prev) > DRIFT_TOL * max(abs(e_prev), 1e-12):
-                if dt / 2.0 < cfg.dt_floor:
+            dt = h * _step_factor(err)
+            if err > ERR_TOL:
+                log.rejected += 1
+                if dt < cfg.dt_floor:
                     log.add_event(t, "blowup", "dt underflow")
                     break
-                dt = dt / 2.0
                 continue
-            e_prev = checked[2]
-        u, N, t = nu, nN, t + dt_step
+            log.err_max = max(log.err_max, err)
+        u, N, t = nu, nN, t + h
         k += 1
         store_now = store and k % cfg.store_every == 0
         monitor_now = k % cfg.monitor_every == 0 or t >= t_end - 1e-12
-        if checked is None and monitor_now:
+        phys = checked = None
+        if monitor_now:
             checked = prop.check(u, N)
-        phys = None if checked is None else checked[0]
+            phys = checked[0]
         if store_now:
             if phys is None:
                 phys = prop.physical(u, N)
@@ -405,7 +473,7 @@ def run(state0: ZakharovState, cfg: IntegratorConfig, t_end: float,
             cols_u.append(phys[:, 0])
             cols_N.append(phys[:, 1])
         if monitor_now:
-            _monitor(log, grid, *checked, t, dt_step)
+            _monitor(log, grid, *checked, t, h)
             if log.grad_u[-1] > grad_ceiling:
                 log.add_event(t, "blowup",
                               f"grad ceiling {grad_ceiling:.3g} exceeded")

@@ -28,7 +28,7 @@ pure and grids are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse, special
@@ -66,6 +66,8 @@ class RadialGrid:
         rho_k = j_{1,k} / r_max, both strictly increasing.
     quad_weights_r, quad_weights_rho : ndarray
         Positive weights realizing integral f r^3 dr on each side.
+    rho_sq : ndarray
+        rho_nodes**2, formed on first use (the spectral Laplacian symbol).
     transform_kernel : ndarray, shape (n, n)
         Order-1 Fourier-Bessel matrix M = S^{-1} K S, with K the symmetric
         quasi-discrete Hankel kernel and S = diag(j_{1,k} / |J_0(j_{1,k})|);
@@ -130,6 +132,19 @@ class RadialGrid:
         |F f|^2 gives |f|_2^2 (Plancherel)."""
         return (SPHERE_S3 * FOURIER_NORM ** -2
                 * _column_sums(self.quad_weights_rho, values))
+
+    def gradient_sq(self, spec: np.ndarray):
+        """|grad f|_2^2 = spectral_integral(rho^2 |f_hat|^2) of spectral
+        samples, (n,) -> float or (n, S) -> (S,) as the integrals map."""
+        rho_sq = self.rho_sq if spec.ndim == 1 else self.rho_sq[:, None]
+        return self.spectral_integral(rho_sq * np.abs(spec) ** 2)
+
+    @cached_property
+    def rho_sq(self) -> np.ndarray:
+        """rho_nodes**2, formed on first use."""
+        rho_sq = self.rho_nodes**2
+        rho_sq.setflags(write=False)
+        return rho_sq
 
     # -- transforms ---------------------------------------------------------
 
@@ -388,10 +403,7 @@ def inner(f: RadialField, g: RadialField) -> float:
 
 def gradient_norm_sq(f: RadialField) -> float:
     """|grad f|_2^2 = -Re<f|Lap f>, evaluated spectrally."""
-    spec = to_spectral(f)
-    grid = f.grid
-    return float(grid.spectral_integral(grid.rho_nodes**2
-                                        * np.abs(spec.values) ** 2))
+    return float(f.grid.gradient_sq(to_spectral(f).values))
 
 
 def radial_derivative(f: RadialField) -> RadialField:

@@ -240,8 +240,7 @@ def virial_values(u: np.ndarray, N: np.ndarray,
     CC3p = grid.integral(nu.real * np.real(brace_psi + 0.5 * brace_rdp))
     CC = -grid.integral(nu.real * u_sq * weights.A_dm2_psi[:, None]) + CC3p
 
-    grad_sq = grid.spectral_integral(grid.rho_nodes[:, None] ** 2
-                                     * np.abs(spec[:, 2 * S:]) ** 2)
+    grad_sq = grid.gradient_sq(spec[:, 2 * S:])
     K = grad_sq - grid.integral(np.abs(u) ** 4)
     nu_L2 = grid.integral(np.abs(nu) ** 2) ** 0.5
     rate_inf = 4.0 * K + nu_L2**2 - (D - 1) * grid.integral(nu.real * u_sq)

@@ -253,6 +253,18 @@ class TestQuadrature:
         assert gradient_norm_sq(f) == g.spectral_integral(
             g.rho_nodes**2 * np.abs(to_spectral(f).values) ** 2)
 
+    def test_gradient_sq_block_equals_columns(self, grid_medium):
+        # |grad f|_2^2 of a spectral block equals its one-column calls and
+        # gradient_norm_sq bit for bit
+        g, rng = grid_medium, np.random.default_rng(12)
+        spec = np.column_stack([to_spectral(band_limited(g, rng)).values
+                                for _ in range(3)])
+        out = g.gradient_sq(spec)
+        assert out.shape == (3,)
+        assert np.array_equal(out, [g.gradient_sq(col) for col in spec.T])
+        assert out[0] == gradient_norm_sq(RadialField(g, spec[:, 0],
+                                                      SPECTRAL))
+
 
 class TestInnerAndGradient:
     def test_inner_w_w3(self):

@@ -204,7 +204,7 @@ class _Propagator:
     def __init__(self, grid: RadialGrid, cfg: IntegratorConfig):
         self.grid = grid
         self.cfg = cfg
-        self._phases = {}
+        self._phase_cache = {}
         self._blocks = {}
         if cfg.sponge:
             x = (grid.r_nodes / grid.r_max - SPONGE_START_FRACTION) / (
@@ -214,26 +214,35 @@ class _Propagator:
             self.sponge_profile = None
 
     def _phase(self, dt: float):
+        """`_phases` of the one step dt, from the cache if it holds dt."""
+        ph = self._phase_cache.get(dt)
+        return self._phases(np.array([dt])) if ph is None else ph
+
+    def _phases(self, steps: np.ndarray):
         """(u phase, N phase, source factor, sponge half-damping or None) as
-        (n, 1) columns for the step dt, cached for the last PHASE_CACHE dt."""
-        ph = self._phases.get(dt)
-        if ph is None:
-            if len(self._phases) >= PHASE_CACHE:
-                del self._phases[next(iter(self._phases))]
-            rho = self.grid.rho_nodes[:, None]
-            ph = (np.exp(0.5j * dt * self.grid.rho_sq[:, None]),
-                  np.exp(0.5j * dt * rho), 1j * dt * rho,
-                  None if self.sponge_profile is None else
-                  np.exp(-0.5 * dt * self.sponge_profile)[:, None])
-            self._phases[dt] = ph
+        (n, k) blocks for the k steps, one exp per block; each step's
+        columns are cached, for the last PHASE_CACHE steps."""
+        rho, steps = self.grid.rho_nodes, steps[:, None]
+        # formed as contiguous (k, n) rows and returned as (n, k) views
+        ph = (np.exp(0.5j * steps * self.grid.rho_sq).T,
+              np.exp(0.5j * steps * rho).T, (1j * steps * rho).T,
+              None if self.sponge_profile is None else
+              np.exp(-0.5 * steps * self.sponge_profile).T)
+        cache = self._phase_cache
+        for j, step in enumerate(steps[:, 0].tolist()):
+            if len(cache) >= PHASE_CACHE:
+                del cache[next(iter(cache))]
+            cache[step] = tuple(None if b is None else b[:, j:j + 1]
+                                for b in ph)
         return ph
 
-    def _work(self, name: str, cols: int, dtype=np.complex128) -> np.ndarray:
-        """The (n, cols) work block `name`, allocated once per width."""
-        block = self._blocks.get((name, cols))
+    def _work(self, name: str, cols: int, order: str) -> np.ndarray:
+        """The (n, cols) complex work block `name` in memory order `order`,
+        allocated once per width and order."""
+        block = self._blocks.get((name, cols, order))
         if block is None:
-            block = np.empty((self.grid.n, cols), dtype)
-            self._blocks[name, cols] = block
+            block = np.empty((self.grid.n, cols), np.complex128, order=order)
+            self._blocks[name, cols, order] = block
         return block
 
     def load(self, u: np.ndarray, N: np.ndarray):
@@ -251,28 +260,26 @@ class _Propagator:
         [u, u] / [N, N] at steps (h, h/2) is one call on u (n, 1) and
         N (n, 1) with fractions HALVES.  The half-step products are written
         into the work blocks the two passes read; the returned (u, N) are
-        new arrays.
+        new arrays.  A paired call keeps its blocks column-major, so that
+        the elementwise work on a few columns runs over contiguous memory
+        (numpy steps a row-major (n, 2) view two elements at a time); its
+        kernel passes copy them to rows.
         """
         if fractions is None:
             ph_u, ph_N, source, damp = self._phase(dt)
-        else:            # each factor's columns side by side in a work block
-            steps = [self._phase(dt * f) for f in fractions]
-            ph_u, ph_N, source, damp = (
-                None if cols[0] is None else np.concatenate(
-                    cols, axis=1,
-                    out=self._work(name, len(cols), cols[0].dtype))
-                for name, cols in zip(("ph_u", "ph_N", "source", "damp"),
-                                      zip(*steps)))
+        else:
             dt = dt * np.asarray(fractions)
+            ph_u, ph_N, source, damp = self._phases(dt)
         mode = self.cfg.mode
         if mode == FREE and damp is None:
             return ph_u * (ph_u * u), ph_N * (ph_N * N)
         m = max(ph_u.shape[1], u.shape[1])
         k = max(ph_N.shape[1], N.shape[1])
-        back = self._work("back", m + k)
+        order = "C" if fractions is None else "F"
+        back = self._work("back", m + k, order)
         np.multiply(ph_u, u, out=back[:, :m])
         np.multiply(ph_N, N, out=back[:, m:])
-        phys = self.grid.to_physical_values(back)
+        phys = np.asarray(self.grid.to_physical_values(back), order=order)
         up, Np = phys[:, :m], phys[:, m:]
         if damp is not None:
             up *= damp
@@ -281,7 +288,8 @@ class _Propagator:
         # forward block is [u..., damped N if a sponge is on, |u|^2 in full
         # mode]
         kd = 0 if damp is None else k
-        forward = self._work("forward", m + kd + (m if mode == FULL else 0))
+        forward = self._work("forward", m + kd + (m if mode == FULL else 0),
+                             order)
         if mode == FULL:
             forward[:, m + kd:] = np.abs(up) ** 2
         if mode == FREE:
@@ -291,7 +299,7 @@ class _Propagator:
         if damp is not None:
             forward[:, :m] *= damp
             np.multiply(damp, Np, out=forward[:, m:m + k])
-        spec = self.grid.to_spectral_values(forward)
+        spec = np.asarray(self.grid.to_spectral_values(forward), order=order)
         N = back[:, m:] if damp is None else spec[:, m:m + k]
         if mode == FULL:
             N = N - source * spec[:, m + kd:]
@@ -300,7 +308,7 @@ class _Propagator:
     def physical(self, u: np.ndarray, N: np.ndarray) -> np.ndarray:
         """Physical block [u, N] (n, 2) of a one-column state: one pass."""
         return self.grid.to_physical_values(
-            np.concatenate((u, N), axis=1, out=self._work("check", 2)))
+            np.concatenate((u, N), axis=1, out=self._work("check", 2, "C")))
 
     def check(self, u: np.ndarray, N: np.ndarray, phys=None):
         """(physical block [u, N], |grad u|_2^2, flow energy) of a

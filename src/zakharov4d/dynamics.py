@@ -197,8 +197,9 @@ class _Propagator:
     potential) or paired with u column by column (k = m, full mode), and a
     paired call may advance each column by its own step.  The phases and
     sponge factor are cached per step size.  Each kernel pass reads one of
-    the propagator's work blocks, kept per width and reused from call to
-    call; no array the propagator returns is a view of one.
+    the propagator's work blocks, kept per width and memory order and
+    reused from call to call; no array the propagator returns is a view of
+    one.
     """
 
     def __init__(self, grid: RadialGrid, cfg: IntegratorConfig):
@@ -267,7 +268,7 @@ class _Propagator:
         """
         if fractions is None:
             ph_u, ph_N, source, damp = self._phase(dt)
-        else:
+        else:            # dt is the (m,) per-column steps from here on
             dt = dt * np.asarray(fractions)
             ph_u, ph_N, source, damp = self._phases(dt)
         mode = self.cfg.mode

@@ -15,9 +15,8 @@ passes) at each n of ``VIRIAL_N``, and one adaptive full-mode
 ``dynamics.run`` of fixed length (with its count of kernel passes) at each
 n of ``STEP_N``, in each checkout, ``SWEEP_PAIRS`` times alternating, and
 writes every run, the per-side medians and quartiles, the pair wins and the
-host description as one JSON file.  Each sweep point's time is the best of
-``SWEEP_BEST_OF`` repetitions.  Each checkout's benchmark code runs on its
-own sources.
+host description as one JSON file.  Each checkout's
+benchmark code runs on its own sources.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ SWEEP_N = [128, 256, 512, 1024, 2048]
 VIRIAL_N = [256, 512, 1024]
 STEP_N = [128, 256, 512, 1024]
 SWEEP_PAIRS = 3
-SWEEP_BEST_OF = 3
 
 # one apply_bilinear call per kind, one normal_transform call (u, N = 0.9 u)
 # and one transform + normal_inverse round trip on the nf_round_trip data
@@ -48,10 +46,8 @@ SWEEP_BEST_OF = 3
 # R 10), its RadialGrid._kernel_apply calls counted; then, per n of the third
 # argument, one adaptive full-mode run of the blowup_trip data (1.3 times
 # the truncated W, r_max 40) from dt = 0.1 to t = 2.4, short of the
-# gradient trip, its RadialGrid._kernel_apply calls counted (an attempt is
-# one step_values call under the drift rule and two under step doubling, so
-# calls would not compare).  Each time is the best of the fourth argument's
-# repetitions, each count that of the last repetition.
+# gradient trip, its RadialGrid._kernel_apply calls counted (kernel passes
+# compare across step controllers; step_values calls need not).
 # Prints {n: {kind, "normal_transform" or "round_trip": seconds,
 # "corrections_calls": count}, "decompose_N": seconds,
 # "rate_check": {n: {"seconds", "kernel_passes"}},
@@ -60,13 +56,6 @@ SWEEP_CODE = """
 import json, sys, time
 import numpy as np
 from zakharov4d import dynamics, grid, normal_form as nf, variational, virial
-def best(fn):
-    times = []
-    for _ in range(int(sys.argv[4])):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return min(times)
 calls = [0]
 corrections = nf._corrections
 def counted(*args):
@@ -82,15 +71,17 @@ for n in json.loads(sys.argv[1]):
     nf.apply_bilinear(nf.BilinearKernelSpec(nf.OMEGA_PLUS, 0.125), u, u, quad)
     out[n] = {}
     for kind in (nf.OMEGA_PLUS, nf.OMEGA_MINUS, nf.OMEGA_TILDE):
-        spec = nf.BilinearKernelSpec(kind, 0.125)
-        out[n][kind] = best(lambda: nf.apply_bilinear(spec, u, u.conj(), quad))
-    out[n]["normal_transform"] = best(
-        lambda: nf.normal_transform(u, 0.9 * u, 0.125, 0.125, quad))
-    def round_trip():
-        calls[0] = 0
-        tu, tN = nf.normal_transform(u, 0.9 * u, 0.125, 0.125, quad)
-        nf.normal_inverse(tu, tN, 0.125, 0.125, quad=quad)
-    out[n]["round_trip"] = best(round_trip)
+        t0 = time.perf_counter()
+        nf.apply_bilinear(nf.BilinearKernelSpec(kind, 0.125), u, u.conj(), quad)
+        out[n][kind] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    nf.normal_transform(u, 0.9 * u, 0.125, 0.125, quad)
+    out[n]["normal_transform"] = time.perf_counter() - t0
+    calls[0] = 0
+    t0 = time.perf_counter()
+    tu, tN = nf.normal_transform(u, 0.9 * u, 0.125, 0.125, quad)
+    nf.normal_inverse(tu, tN, 0.125, 0.125, quad=quad)
+    out[n]["round_trip"] = time.perf_counter() - t0
     out[n]["corrections_calls"] = calls[0]
 g = grid.make_grid(256, 20.0)
 u0 = 0.1 * dynamics.band_limited_unit_field(g, np.random.default_rng(7),
@@ -99,16 +90,14 @@ state = dynamics.ZakharovState(u0, variational.gaussian_field(g, 0.4, 2.0))
 cfg = dynamics.IntegratorConfig(dt=2e-3, mode=dynamics.FULL, store_every=10,
                                 monitor_every=10)
 log = dynamics.run(state, cfg, 0.4)
-out["decompose_N"] = best(
-    lambda: dynamics.decompose_N(log, 0.25, nf.AngularQuadrature(12)))
+t0 = time.perf_counter()
+dynamics.decompose_N(log, 0.25, nf.AngularQuadrature(12))
+out["decompose_N"] = time.perf_counter() - t0
 passes = [0]
 kernel = grid.RadialGrid._kernel_apply
 def counted_kernel(self, columns):
     passes[0] += 1
     return kernel(self, columns)
-def counted_passes(fn):
-    passes[0] = 0
-    fn()
 out["rate_check"] = {}
 for n in json.loads(sys.argv[2]):
     g = grid.make_grid(n, 50.0)
@@ -120,8 +109,10 @@ for n in json.loads(sys.argv[2]):
     log = dynamics.run(state, cfg, 0.5)
     weights = virial.VirialWeights(g, 10.0)
     grid.RadialGrid._kernel_apply = counted_kernel
-    seconds = best(lambda: counted_passes(
-        lambda: virial.rate_check(log.traj_u, log.traj_N, weights)))
+    passes[0] = 0
+    t0 = time.perf_counter()
+    virial.rate_check(log.traj_u, log.traj_N, weights)
+    seconds = time.perf_counter() - t0
     grid.RadialGrid._kernel_apply = kernel
     out["rate_check"][n] = {"seconds": seconds, "kernel_passes": passes[0]}
 grid.RadialGrid._kernel_apply = counted_kernel
@@ -134,8 +125,10 @@ for n in json.loads(sys.argv[3]):
     cfg = dynamics.IntegratorConfig(dt=0.1, mode=dynamics.FULL,
                                     adaptive=True, dt_floor=1e-6,
                                     grad_ceiling_factor=7.0, monitor_every=5)
-    seconds = best(lambda: counted_passes(
-        lambda: dynamics.run(state, cfg, 2.4)))
+    passes[0] = 0
+    t0 = time.perf_counter()
+    dynamics.run(state, cfg, 2.4)
+    seconds = time.perf_counter() - t0
     out["step_sweep"][n] = {"seconds": seconds, "kernel_passes": passes[0]}
 print(json.dumps(out))
 """
@@ -169,7 +162,7 @@ def bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
 def sweep_run(root: Path) -> dict:
     proc = subprocess.run([sys.executable, "-c", SWEEP_CODE,
                            json.dumps(SWEEP_N), json.dumps(VIRIAL_N),
-                           json.dumps(STEP_N), str(SWEEP_BEST_OF)],
+                           json.dumps(STEP_N)],
                           cwd=root, env=blas_env(root), capture_output=True,
                           text=True, check=True)
     return last_json(proc.stdout)
@@ -308,9 +301,7 @@ def main(argv=None) -> int:
                                      "truncated W, r_max 40) from dt "
                                      "0.1 to t 2.4, its "
                                      "RadialGrid._kernel_apply calls "
-                                     "counted; best of "
-                                     f"{SWEEP_BEST_OF} per point; raw "
-                                     "runs under "
+                                     "counted; raw runs under "
                                      "normal_form_sweep.runs, key "
                                      "step_sweep",
                              "median": step_summary}}

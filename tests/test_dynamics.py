@@ -20,7 +20,6 @@ from zakharov4d.dynamics import (
     ERR_TOL,
     FREE,
     FULL,
-    HALVES,
     INCONCLUSIVE,
     IntegratorConfig,
     LINEAR_POTENTIAL,
@@ -174,51 +173,57 @@ class TestStepBuffers:
         (FULL, False), (FREE, False), (LINEAR_POTENTIAL, True)])
     def test_paired_columns_match_one_column_calls(self, grid_small, mode,
                                                    sponge):
-        # one call on [u, u] / [N, N] at steps (h, h/2) gives each column's
-        # one-column step up to GEMM roundoff, in new arrays, and leaves
-        # its inputs as they were
+        # one paired call on [u, u] / [N, N] at steps (h, h/2) gives each
+        # column's one-column step up to GEMM roundoff; a doubled step is
+        # that call and a half step from its second column, in new arrays,
+        # and leaves its inputs as they were
         g = grid_small
         prop = _Propagator(g, IntegratorConfig(dt=0.01, mode=mode,
                                                sponge=sponge))
         u, N = prop.load(gaussian_field(g, 0.8, 1.4).values,
                          gaussian_field(g, 0.6, 1.8).values)
         u0, N0 = u.copy(), N.copy()
-        pu, pN = prop.step_values(u, N, 0.03, HALVES)
+        h = 0.03
+        pu, pN = prop._strang(u, N, h, paired=True)
         assert pu.shape == pN.shape == (g.n, 2)
-        assert np.array_equal(u, u0) and np.array_equal(N, N0)
-        for j, fraction in enumerate(HALVES):
-            for paired, single in zip(
-                    (pu[:, j:j + 1], pN[:, j:j + 1]),
-                    prop.step_values(u, N, 0.03 * fraction)):
+        for j, step in enumerate((h, h / 2)):
+            for paired, single in zip((pu[:, j:j + 1], pN[:, j:j + 1]),
+                                      prop.step_values(u, N, step)):
                 assert np.abs(paired - single).max() <= 1e-13 * np.abs(
                     single).max()
-        for out in (pu, pN):
+        nu, nN, err = prop.step_values(u, N, h, doubled=True)
+        assert np.array_equal(u, u0) and np.array_equal(N, N0)
+        fu, fN = prop.step_values(pu[:, 1:], pN[:, 1:], h / 2)
+        assert np.array_equal(nu, fu) and np.array_equal(nN, fN)
+        diff = np.abs(pu[:, 0] - fu[:, 0]) ** 2 + np.abs(pN[:, 0]
+                                                         - fN[:, 0]) ** 2
+        norm = np.abs(fu[:, 0]) ** 2 + np.abs(fN[:, 0]) ** 2
+        assert err == np.sqrt(g.spectral_integral(diff)
+                              / g.spectral_integral(norm)) / 3
+        for out in (pu, pN, nu, nN):
             for block in prop._blocks.values():
                 assert not np.shares_memory(out, block)
 
     def feeds_back(self, grid, monkeypatch, adaptive):
-        # an accepted step's u is the next attempt's first input object (the
-        # traced benchmark counts accepted steps by this identity); an
-        # adaptive attempt is a paired call and a half-step call
+        # an accepted step's u is the next call's input object (the traced
+        # benchmark counts accepted steps by this identity, and its attempts
+        # by the calls: one per attempt, a doubled step when adaptive)
         calls = []
         original = _Propagator.step_values
 
-        def recorded(self, u, N, dt, *fractions):
-            out = original(self, u, N, dt, *fractions)
-            calls.append((u, out[0]))
+        def recorded(self, u, N, dt, **kwargs):
+            out = original(self, u, N, dt, **kwargs)
+            calls.append((u, out[0], kwargs))
             return out
 
         monkeypatch.setattr(_Propagator, "step_values", recorded)
         log = run(gaussian_state(grid),
                   IntegratorConfig(dt=1e-2, mode=FULL, monitor_every=3,
                                    adaptive=adaptive), 0.1)
-        per_attempt = 2 if adaptive else 1
-        assert log.rejected == 0
-        assert len(calls) == per_attempt * log.attempts
-        firsts = calls[::per_attempt]
-        lasts = calls[per_attempt - 1::per_attempt]
-        for (_, previous), (u_in, _) in zip(lasts, firsts[1:]):
+        assert log.rejected == 0 and len(calls) == log.attempts
+        for (_, previous, _), (u_in, _, kwargs) in zip(calls, calls[1:]):
             assert u_in is previous
+            assert kwargs == ({"doubled": True} if adaptive else {})
         return log
 
     def test_run_feeds_each_output_back(self, grid_small, monkeypatch):
@@ -261,26 +266,13 @@ class TestRun:
         assert verdict.verdict == BLOWUP_LIKE
 
     def test_adaptive_run_matches_stepwise_reference(self, grid_small):
-        self.check_stepwise_reference(grid_small, False, tol_dt=1e-6,
-                                      tol_row=1e-7, tol_traj=1e-8)
-
-    def test_adaptive_run_matches_paired_stepwise_reference(self,
-                                                            grid_small):
-        self.check_stepwise_reference(grid_small, True, tol_dt=1e-12,
-                                      tol_row=1e-12, tol_traj=1e-13)
-
-    def check_stepwise_reference(self, grid, paired, tol_dt, tol_row,
-                                 tol_traj):
         # run()'s step doubling against a stepwise reference that writes
-        # the controller out: S_h and S_{h/2} from one paired call, as run
-        # makes them, or from one-column calls; then the second half step,
-        # err and the step factor.  dt starts too large, so attempts are
-        # rejected.  The paired GEMM rounds a column apart from its
-        # one-column call (<= 1e-15 relative), and err, a difference of
-        # states 1e-8 apart, carries that to 1e-9 in dt and 1e-10 in the
-        # rows over the run, so the one-column reference is compared 100x
-        # above that
-        g = grid
+        # the controller out on the propagator's kernel: S_h and S_{h/2}
+        # from one paired call, the second half step, err and the step
+        # factor.  dt starts too large, so attempts are rejected.  That a
+        # paired call's columns are their one-column steps is
+        # test_paired_columns_match_one_column_calls
+        g = grid_small
         state = ZakharovState(gaussian_field(g, 0.8, 1.4),
                               gaussian_field(g, 0.6, 1.8))
         cfg = IntegratorConfig(dt=0.2, mode=FULL, adaptive=True,
@@ -314,13 +306,9 @@ class TestRun:
         rows, states = [first], [s]
         while t < t_end - 1e-12:
             h = min(dt, t_end - t)
-            if paired:
-                pu, pN = prop.step_values(u, N, h, HALVES)
-                cu, cN, hu, hN = pu[:, :1], pN[:, :1], pu[:, 1:], pN[:, 1:]
-            else:
-                cu, cN = prop.step_values(u, N, h)
-                hu, hN = prop.step_values(u, N, h / 2)
-            fu, fN = prop.step_values(hu, hN, h / 2)
+            pu, pN = prop._strang(u, N, h, paired=True)
+            cu, cN = pu[:, :1], pN[:, :1]
+            fu, fN = prop._strang(pu[:, 1:], pN[:, 1:], h / 2)
             err = np.sqrt(sq_norm(cu - fu, cN - fN) / sq_norm(fu, fN)) / 3
             dt = h * min(2.0, max(0.2, 0.9 * (ERR_TOL / err) ** (1 / 3)))
             if err > ERR_TOL:
@@ -337,22 +325,21 @@ class TestRun:
         assert got.shape == ref.shape and len(ref) > 30
         assert rejected >= 1 and log.rejected == rejected
         assert log.attempts == len(ref) - 1 + rejected
-        assert log.err_max == pytest.approx(max(errs), rel=tol_dt)
+        assert log.err_max == max(errs)
         for col in (0, -1):                       # accepted times, dt_hist
-            assert np.abs(got[:, col] - ref[:, col]).max() <= tol_dt * np.abs(
+            assert np.abs(got[:, col] - ref[:, col]).max() <= 1e-12 * np.abs(
                 ref[:, col]).max()
         assert np.diff(log.dt_hist[1:-1]).max() > 0     # dt grows again
         rel = np.abs(got[:, 1:-1] - ref[:, 1:-1]) / np.abs(ref[:, 1:-1])
-        assert rel.max() < tol_row
+        assert rel.max() < 1e-12
         final = log.final_state
-        assert final.t == pytest.approx(s.t, rel=tol_dt)
+        assert final.t == s.t
         assert lp_norm(final.u - s.u, 2) < 1e-13 * lp_norm(s.u, 2)
         assert lp_norm(final.N - s.N, 2) < 1e-13 * lp_norm(s.N, 2)
         stored = states[::cfg.store_every]
-        assert np.abs(log.traj_u.times - [x.t for x in stored]).max() <= (
-            tol_dt * t_end)
+        assert np.array_equal(log.traj_u.times, [x.t for x in stored])
         ref_u = np.column_stack([x.u.values for x in stored])
-        assert np.abs(log.traj_u.values - ref_u).max() < tol_traj * np.abs(
+        assert np.abs(log.traj_u.values - ref_u).max() < 1e-13 * np.abs(
             ref_u).max()
 
     def test_rejections_recorded(self, grid_small):

@@ -74,10 +74,11 @@ from .dyadic import (
 )
 from .normal_form import omega_tilde_self_spectra
 from .variational import (
+    EnergyReport,
+    energy_report,
     nehari_K,  # noqa: F401  (kept in this namespace for bench/tracing.py)
     w_profile,
     zakharov_energy,  # noqa: F401  (kept in this namespace for bench/tracing.py)
-    zakharov_energy_values,
 )
 
 FULL = "full"
@@ -332,17 +333,11 @@ class _Propagator:
         return self.grid.to_physical_values(
             np.concatenate((u, N), axis=1, out=self._work("check", 2, "C")))
 
-    def check(self, u: np.ndarray, N: np.ndarray, phys=None):
-        """(physical block [u, N], |grad u|_2^2, flow energy) of a
-        one-column spectral state.  One backward pass, none if `phys` is
-        given; the gradient is taken from the spectral u, and |u| is formed
-        once."""
-        if phys is None:
-            phys = self.physical(u, N)
-        grad_sq = float(self.grid.gradient_sq(u[:, 0]))
-        energy = flow_energy(self.grid, grad_sq, np.abs(phys[:, 0]) ** 2,
-                             phys[:, 1], self.cfg.mode)
-        return phys, grad_sq, energy
+    def check(self, u: np.ndarray, phys: np.ndarray):
+        """(phys, its `energy_report`, flow energy) of a one-column state,
+        spectral u and physical block phys = [u, N]: no kernel pass."""
+        report = energy_report(self.grid, u[:, 0], phys[:, 0], phys[:, 1])
+        return phys, report, flow_energy(report, self.cfg.mode)
 
 
 def _richardson_error(grid: RadialGrid, coarse_u, coarse_N, fine_u,
@@ -387,29 +382,28 @@ def step(state: ZakharovState, cfg: IntegratorConfig,
     return _state(state.grid, prop.physical(u, N), state.t + dt)
 
 
-def flow_energy(grid: RadialGrid, grad_sq: float, u_sq: np.ndarray,
-                N: np.ndarray, mode: str) -> float:
-    """Conserved energy of the selected flow from |grad u|_2^2 and the
-    physical |u|^2 and N: E_Z in full mode, its quadratic part (E_Z with
-    the cross term's |u|^2 set to 0) when the coupling is off, since the
+def flow_energy(report: EnergyReport, mode: str) -> float:
+    """Conserved energy of the selected flow, read from a one-column
+    `energy_report`: E_Z in full mode, its quadratic part
+    (|grad u|_2^2 + |N|_2^2 / 2) / 2 when the coupling is off, since the
     cross term is not an invariant of the free flows."""
-    return zakharov_energy_values(grid, grad_sq,
-                                  u_sq if mode == FULL else 0.0, N)
+    if mode == FULL:
+        return report.energy_Z
+    return 0.5 * (report.grad_sq + 0.5 * report.N_L2**2)
 
 
-def _monitor(log: RunLog, grid: RadialGrid, phys: np.ndarray, grad_sq: float,
-             energy: float, t: float, dt: float):
-    """Append one row from the physical block [u, N], |grad u|_2^2 and the
-    flow energy; |u| and |N| are formed once."""
-    a_u, a_N = np.abs(phys[:, 0]), np.abs(phys[:, 1])
-    u_L4 = float(grid.integral(a_u**4) ** 0.25)
+def _monitor(log: RunLog, grid: RadialGrid, phys: np.ndarray,
+             report: EnergyReport, energy: float, t: float, dt: float):
+    """Append one row from `_Propagator.check`'s (phys, report, flow
+    energy); only the local mass and the decay norm are integrated here."""
+    a_u = np.abs(phys[:, 0])
     log.times.append(t)
-    log.mass.append(float(grid.integral(a_u**2)))
+    log.mass.append(report.mass)
     log.energy_Z.append(energy)
-    log.grad_u.append(np.sqrt(grad_sq))
-    log.N_L2.append(float(grid.integral(a_N**2) ** 0.5))
-    log.u_L4.append(u_L4)
-    log.K_u.append(grad_sq - u_L4**4)    # nehari_K
+    log.grad_u.append(np.sqrt(report.grad_sq))
+    log.N_L2.append(report.N_L2)
+    log.u_L4.append(report.u4_4 ** 0.25)
+    log.K_u.append(report.K)
     log.local_mass.append(
         np.sqrt(grid.integral(np.where(grid.r_nodes < R_LOCAL, a_u**2, 0.0))))
     p = 1.0 / (0.5 - S_DECAY / 4.0)
@@ -434,8 +428,9 @@ def run(state0: ZakharovState, cfg: IntegratorConfig, t_end: float,
     step; blow-up trips when a step would fall below dt_floor or |grad u|
     exceeds the configured ceiling (past GRAD_GROWTH_FACTOR times its
     initial value it logs grad_growth_5x).  The log counts attempts and
-    rejections and keeps the largest accepted err.  A monitor row costs one
-    backward pass (`_Propagator.check`).  Errors become events, never raise.
+    rejections and keeps the largest accepted err.  A monitor or store
+    instant costs one backward pass, which the monitor row's
+    `_Propagator.check` reads.  Stepping errors become events, never raise.
     `stop_when(log) -> bool`, checked at monitor instants, allows early exit
     (verdict already established).  With store_every > 0, u and N at t0 and
     every store_every accepted steps are kept as physical columns and stacked
@@ -453,7 +448,7 @@ def run(state0: ZakharovState, cfg: IntegratorConfig, t_end: float,
 
     # phys: the physical block [u, N] of the accepted state, None if unknown
     phys = np.column_stack([state0.u.values, state0.N.values])
-    _monitor(log, grid, *prop.check(u, N, phys), t, dt)
+    _monitor(log, grid, *prop.check(u, phys), t, dt)
     grad_ceiling = cfg.grad_ceiling_factor * max(log.grad_u[0], 1e-12)
 
     store = cfg.store_every > 0
@@ -490,18 +485,13 @@ def run(state0: ZakharovState, cfg: IntegratorConfig, t_end: float,
         k += 1
         store_now = store and k % cfg.store_every == 0
         monitor_now = k % cfg.monitor_every == 0 or t >= t_end - 1e-12
-        phys = checked = None
-        if monitor_now:
-            checked = prop.check(u, N)
-            phys = checked[0]
+        phys = prop.physical(u, N) if monitor_now or store_now else None
         if store_now:
-            if phys is None:
-                phys = prop.physical(u, N)
             times_s.append(t)
             cols_u.append(phys[:, 0])
             cols_N.append(phys[:, 1])
         if monitor_now:
-            _monitor(log, grid, *checked, t, h)
+            _monitor(log, grid, *prop.check(u, phys), t, h)
             if log.grad_u[-1] > grad_ceiling:
                 log.add_event(t, "blowup",
                               f"grad ceiling {grad_ceiling:.3g} exceeded")
@@ -562,7 +552,7 @@ def decompose_N(log: RunLog, iota: float, quad=None) -> WaveDecomposition:
     phases = np.exp(1j * np.outer(grid.rho_nodes, times - times[0]))
     nf = grid.to_physical_values(seed[:, None] * phases)
     nd = N - nf - nn
-    sup_f, sup_b, sup_d = (max(lp_norm(RadialField(grid, c), 2) for c in v.T)
+    sup_f, sup_b, sup_d = (float(grid.integral(np.abs(v) ** 2).max() ** 0.5)
                            for v in (nf, nn, nd))
     return WaveDecomposition(
         free=TrajectorySamples(grid, times, nf, "N_F"),

@@ -5,8 +5,10 @@ Closed forms used throughout (forced by -Lap W = W^3 and the sharp Sobolev
 constant): |grad W|_2^2 = |W|_4^4 = 32 pi^2/3, E_S(W) = 8 pi^2/3, and the
 wave-mass threshold |W^2|_2 = sqrt(32 pi^2/3).
 
-The Zakharov energy is normalized so that E_Z = E_S + |N - |u|^2|_2^2/4,
-making E_Z(W, W^2) = E_S(W); conserved quantities scale accordingly.
+E_Z = (|grad u|_2^2 + |N|_2^2/2 - integral Re N |u|^2)/2 = E_S + |nu|_2^2/4,
+nu = N - |u|^2, so that E_Z(W, W^2) = E_S(W).  `energy_report` takes the
+expanded form: near a blow-up trip the nu form cancels as much (E_S = -3.06e4
+against |nu|_2^2/4 = 3.06e4 for E_Z = 18.5), so neither is more accurate.
 """
 
 from __future__ import annotations
@@ -17,14 +19,16 @@ import numpy as np
 from scipy.integrate import quad
 
 from .grid import (
+    GridError,
     RadialField,
     RadialGrid,
     SPHERE_S3,
     field,
-    gradient_norm_sq,
     lp_norm,
     to_physical,
+    to_spectral,
     truncation_profile,
+    zero_field,
 )
 
 W4_4_EXACT = 32.0 * np.pi**2 / 3.0
@@ -89,69 +93,81 @@ def ground_state(grid: RadialGrid) -> GroundState:
 
 @dataclass
 class EnergyReport:
+    """Floats and a side for one column; (S,) arrays for S columns."""
+
     mass: float
+    grad_sq: float             # |grad u|_2^2
+    u4_4: float                # |u|_4^4
+    K: float
     energy_S: float
     energy_Z: float
-    K: float
     N_L2: float
     nu_L2: float
     classification: str
 
 
-def nls_energy(u: RadialField) -> float:
-    return 0.5 * gradient_norm_sq(u) - 0.25 * lp_norm(u, 4) ** 4
-
-
-def nehari_K(u: RadialField, grad_sq: float | None = None) -> float:
-    """K(u) = |grad u|_2^2 - |u|_4^4; `grad_sq` is |grad u|_2^2 if known."""
-    if grad_sq is None:
-        grad_sq = gradient_norm_sq(u)
-    return grad_sq - lp_norm(u, 4) ** 4
-
-
-def zakharov_energy(u: RadialField, N: RadialField,
-                    grad_sq: float | None = None) -> float:
-    """E_Z = (|grad u|^2 + |N|^2/2 - Re N |u|^2) dx, halved so that
-    E_Z = E_S + |N - |u|^2|_2^2 / 4 holds identically.  `grad_sq` is
-    |grad u|_2^2 if known (it saves the transform of u)."""
-    if grad_sq is None:
-        grad_sq = gradient_norm_sq(u)
-    uu = to_physical(u)
-    return zakharov_energy_values(uu.grid, grad_sq, np.abs(uu.values) ** 2,
-                                  to_physical(N).values)
-
-
-def zakharov_energy_values(grid: RadialGrid, grad_sq: float, u_sq: np.ndarray,
-                           N: np.ndarray) -> float:
-    """E_Z from arrays: |grad u|_2^2, and |u|^2 and N at the r nodes."""
-    N_sq = grid.integral(np.abs(N) ** 2)
-    cross = grid.integral(np.real(N) * u_sq)
-    return float(0.5 * (grad_sq + 0.5 * N_sq - cross))
+def energy_report(grid: RadialGrid, u_spec: np.ndarray, u: np.ndarray,
+                  N: np.ndarray) -> EnergyReport:
+    """The report of physical u and N, one column (n,) or a block (n, S),
+    and the spectral u: no kernel pass, and a block equals its one-column
+    calls bit for bit.  Above the ground-state energy no side is guessed.
+    Non-finite samples (or integrals) raise GridError."""
+    if not np.shape(u_spec) == np.shape(u) == np.shape(N) or len(u) != grid.n:
+        raise GridError("energy samples do not match each other or the grid")
+    spec, u, N = (np.reshape(a, (grid.n, -1)) for a in (u_spec, u, N))
+    u_sq = np.abs(u) ** 2
+    sums = np.array([grid.integral(u_sq), grid.gradient_sq(spec),
+                     grid.integral(np.abs(u) ** 4),
+                     grid.integral(np.abs(N) ** 2),
+                     grid.integral(np.real(N) * u_sq),
+                     grid.integral(np.abs(N - u_sq) ** 2)])
+    if not np.isfinite(sums).all():
+        raise GridError("energies of non-finite samples")
+    mass, grad_sq, u4_4, N_sq, cross, nu_sq = sums
+    e_z = 0.5 * (grad_sq + 0.5 * N_sq - cross)
+    # the scalar pow of a one-column float ** 0.5 (array ** 0.5 is sqrt)
+    n_l2, nu_l2 = np.float_power(N_sq, 0.5), np.float_power(nu_sq, 0.5)
+    band = THRESHOLD_BAND * MASS_THRESHOLD_EXACT
+    side = np.select([e_z >= ES_W_EXACT,
+                      np.abs(n_l2 - MASS_THRESHOLD_EXACT) <= band,
+                      n_l2 < MASS_THRESHOLD_EXACT],
+                     [ABOVE_THRESHOLD, INDETERMINATE, SCATTERING_SIDE],
+                     BLOWUP_SIDE)
+    columns = (mass, grad_sq, u4_4, grad_sq - u4_4,
+               0.5 * grad_sq - 0.25 * u4_4, e_z, n_l2, nu_l2)
+    if np.ndim(u_spec) == 1:
+        return EnergyReport(*(float(c[0]) for c in columns), str(side[0]))
+    return EnergyReport(*columns, side)
 
 
 def functionals(u: RadialField, N: RadialField) -> EnergyReport:
-    """Evaluate M, E_S, E_Z, K, and classify per the below-threshold
-    trichotomy; above the ground-state energy no side is guessed."""
-    uu = to_physical(u)
-    NN = to_physical(N)
-    mass = lp_norm(uu, 2) ** 2
-    e_s = nls_energy(uu)
-    k = nehari_K(uu)
-    n_l2 = lp_norm(NN, 2)
-    nu_vals = NN.values - np.abs(uu.values) ** 2
-    nu_l2 = lp_norm(RadialField(uu.grid, nu_vals), 2)
-    e_z = e_s + 0.25 * nu_l2**2
+    """`energy_report` of u and N: one kernel pass if N is physical."""
+    if u.grid != N.grid:
+        raise GridError("u and N live on different grids")
+    return energy_report(u.grid, to_spectral(u).values, to_physical(u).values,
+                         to_physical(N).values)
 
-    if e_z >= ES_W_EXACT:
-        side = ABOVE_THRESHOLD
-    elif abs(n_l2 - MASS_THRESHOLD_EXACT) <= THRESHOLD_BAND * MASS_THRESHOLD_EXACT:
-        side = INDETERMINATE
-    elif n_l2 < MASS_THRESHOLD_EXACT:
-        side = SCATTERING_SIDE
-    else:
-        side = BLOWUP_SIDE
-    return EnergyReport(mass=mass, energy_S=e_s, energy_Z=e_z, K=k,
-                        N_L2=n_l2, nu_L2=nu_l2, classification=side)
+
+def nls_energy(u: RadialField) -> float:
+    return functionals(u, zero_field(u.grid)).energy_S
+
+
+def nehari_K(u: RadialField) -> float:
+    return functionals(u, zero_field(u.grid)).K
+
+
+def zakharov_energy(u: RadialField, N: RadialField) -> float:
+    return functionals(u, N).energy_Z
+
+
+def _stacked_report(us, Ns) -> EnergyReport:
+    """`energy_report` of same-grid fields as the columns of one block."""
+    grid = us[0].grid
+    if any(f.grid != grid for f in (*us, *Ns)):
+        raise GridError("samples live on different grids")
+    u, N = (np.column_stack([to_physical(f).values for f in fields])
+            for fields in (us, Ns))
+    return energy_report(grid, grid.to_spectral_values(u), u, N)
 
 
 # -- equivalence and monotonicity check harnesses -----------------------------
@@ -177,29 +193,26 @@ def check_dichotomy_equivalence(samples) -> EquivalenceReport:
 
     and the mirrored equivalence on the complement.  Pairs with
     E_Z >= E_S(W) are skipped and counted; mass within the relative
-    tolerance band of the threshold is reported indeterminate.
+    tolerance band of the threshold is reported indeterminate.  The pairs
+    share a grid and one `energy_report`; a counterexample is
+    (sample index, (c1, c2, c3)).
     """
-    checked = skipped = agree = indet = 0
-    bad = []
-    for u, N in samples:
-        rep = functionals(u, N)
-        if rep.classification == ABOVE_THRESHOLD:
-            skipped += 1
-            continue
-        checked += 1
-        if rep.classification == INDETERMINATE:
-            indet += 1
-            continue
-        c1 = rep.K >= 0
-        c2 = rep.N_L2 < MASS_THRESHOLD_EXACT
-        c3 = rep.N_L2**2 <= 4.0 * rep.energy_Z
-        if c1 == c2 == c3:
-            agree += 1
-        else:
-            bad.append((rep, (c1, c2, c3)))
-    return EquivalenceReport(checked=checked, skipped=skipped,
-                             agreements=agree, indeterminate=indet,
-                             counterexamples=bad)
+    samples = list(samples)
+    if not samples:
+        return EquivalenceReport(0, 0, 0, 0, [])
+    us, Ns = zip(*samples)
+    rep = _stacked_report(us, Ns)
+    skipped = rep.classification == ABOVE_THRESHOLD
+    indet = rep.classification == INDETERMINATE
+    c1 = rep.K >= 0
+    c2 = rep.N_L2 < MASS_THRESHOLD_EXACT
+    c3 = rep.N_L2**2 <= 4.0 * rep.energy_Z
+    decided = ~skipped & ~indet
+    agree = decided & (c1 == c2) & (c2 == c3)
+    bad = [(int(j), (bool(c1[j]), bool(c2[j]), bool(c3[j])))
+           for j in np.flatnonzero(decided & ~agree)]
+    return EquivalenceReport(int((~skipped).sum()), int(skipped.sum()),
+                             int(agree.sum()), int(indet.sum()), bad)
 
 
 @dataclass
@@ -221,30 +234,25 @@ def check_estK(samples, slack: float = 1e-8) -> MonotonicityReport:
         K <= 0  =>  4K + a^2 <= -3 a |phi|_4^2,
 
     requiring E_S(phi) + a^2/4 <= E_S(W) and a >= 0 (violators skipped).
+    The phi share a grid and one `energy_report`.
     """
-    checked = skipped = 0
-    violations = []
-    worst = np.inf
-    for phi, a in samples:
-        e_s = nls_energy(phi)
-        if a < 0 or e_s + a * a / 4.0 > ES_W_EXACT * (1 + 1e-12):
-            skipped += 1
-            continue
-        checked += 1
-        k = nehari_K(phi)
-        phi4_sq = lp_norm(phi, 4) ** 2
-        margins = []
-        if k >= 0:
-            margins.append(k - a * phi4_sq)
-            margins.append(MASS_THRESHOLD_EXACT - phi4_sq - a)
-        if k <= 0:
-            margins.append(-(4.0 * k + a * a) - 3.0 * a * phi4_sq)
-        m = min(margins)
-        worst = min(worst, m)
-        if m < -slack:
-            violations.append((a, k, phi4_sq, m))
-    return MonotonicityReport(checked=checked, skipped=skipped,
-                              violations=violations, worst_margin=worst)
+    samples = list(samples)
+    if not samples:
+        return MonotonicityReport(0, 0, [], np.inf)
+    phis, a = zip(*samples)
+    a = np.asarray(a, dtype=float)
+    rep = _stacked_report(phis, [zero_field(phis[0].grid)] * len(a))
+    skipped = (a < 0) | (rep.energy_S + a * a / 4.0 > ES_W_EXACT * (1 + 1e-12))
+    k, phi4_sq = rep.K, np.sqrt(rep.u4_4)
+    margin = np.minimum(
+        np.where(k >= 0, np.minimum(k - a * phi4_sq,
+                                    MASS_THRESHOLD_EXACT - phi4_sq - a), np.inf),
+        np.where(k <= 0, -(4.0 * k + a * a) - 3.0 * a * phi4_sq, np.inf))
+    margin[skipped] = np.inf
+    violations = [(float(a[j]), float(k[j]), float(phi4_sq[j]),
+                   float(margin[j])) for j in np.flatnonzero(margin < -slack)]
+    return MonotonicityReport(int((~skipped).sum()), int(skipped.sum()),
+                              violations, float(margin.min()))
 
 
 # -- sample generators ---------------------------------------------------------

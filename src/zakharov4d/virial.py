@@ -36,6 +36,7 @@ from .grid import (
     radial_laplacian_fd,
     to_physical,
 )
+from .variational import energy_report
 
 D = 4  # the grid (S^3 measure, order-1 kernel) is R^4-only
 RICHARDSON_TOL = 0.1  # rate_check: 1- vs 2-stride disagreement allowed
@@ -240,10 +241,10 @@ def virial_values(u: np.ndarray, N: np.ndarray,
     CC3p = grid.integral(nu.real * np.real(brace_psi + 0.5 * brace_rdp))
     CC = -grid.integral(nu.real * u_sq * weights.A_dm2_psi[:, None]) + CC3p
 
-    grad_sq = grid.gradient_sq(spec[:, 2 * S:])
-    K = grad_sq - grid.integral(np.abs(u) ** 4)
-    nu_L2 = grid.integral(np.abs(nu) ** 2) ** 0.5
-    rate_inf = 4.0 * K + nu_L2**2 - (D - 1) * grid.integral(nu.real * u_sq)
+    energies = energy_report(grid, spec[:, 2 * S:], u, N)
+    nu_L2 = energies.nu_L2
+    rate_inf = (4.0 * energies.K + nu_L2**2
+                - (D - 1) * grid.integral(nu.real * u_sq))
 
     return VirialBreakdown(V_R=V_R, NS=NS, QN=QN, CC=CC, CC3p=CC3p,
                            V_inf=V_inf, rate_inf=rate_inf, nu_L2=nu_L2,

@@ -291,9 +291,9 @@ class TestRun:
             local = np.sqrt(SPHERE_S3 * np.sum(
                 (w * np.abs(s.u.values) ** 2)[inside]))
             return s, (t, lp_norm(s.u, 2) ** 2,
-                       zakharov_energy(s.u, s.N, grad_sq), np.sqrt(grad_sq),
+                       zakharov_energy(s.u, s.N), np.sqrt(grad_sq),
                        lp_norm(s.N, 2), lp_norm(s.u, 4),
-                       nehari_K(s.u, grad_sq), local,
+                       nehari_K(s.u), local,
                        lp_norm(s.u, 1.0 / (0.5 - S_DECAY / 4.0)), dt)
 
         def sq_norm(a, b):       # |[a, b]|_2^2, as run sums it

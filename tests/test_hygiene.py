@@ -3,8 +3,10 @@
 A stdlib ``ast`` scan of the package, the tests, the scripts and the
 benchmark (read only).  An import counts as
 used when its bound name is read anywhere in the enclosing function (or the
-module, for module-level imports).  A ``# noqa: F401`` on any line of the
-import statement keeps a deliberate re-export.
+module, for module-level imports).  A ``# noqa: F401`` on the line of an
+imported name keeps it as a deliberate re-export; in the package that is
+allowed only for a name that ``bench/tracing.py``'s ``FUNCTION_SPANS``
+patches on that module, so a re-export outlives its span by no change.
 """
 
 import ast
@@ -13,36 +15,34 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = [path for folder in ("src/zakharov4d", "tests", "scripts", "bench")
-           for path in sorted((ROOT / folder).glob("*.py"))]
+PACKAGE = sorted((ROOT / "src/zakharov4d").glob("*.py"))
+SOURCES = PACKAGE + [path for folder in ("tests", "scripts", "bench")
+                     for path in sorted((ROOT / folder).glob("*.py"))]
 
 
-def _unused_imports(path: Path) -> list:
+def _imports(path: Path):
+    """(import node, alias, bound name, kept by noqa) of every import in
+    path, with the names each import's enclosing scope reads."""
     text = path.read_text()
     lines = text.splitlines()
     tree = ast.parse(text, filename=str(path))
-    found = []
 
     def scan(scope):
         used = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
         for node in _own_nodes(scope):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scan(node)
+                yield from scan(node)
                 continue
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
-            span = lines[node.lineno - 1:node.end_lineno]
-            if any("noqa: F401" in line for line in span):
-                continue
             for alias in node.names:
                 bound = alias.asname or alias.name.split(".")[0]
-                if bound not in used:
-                    found.append(f"{path.name}:{node.lineno}: {bound}")
+                kept = "noqa: F401" in lines[alias.lineno - 1]
+                yield node, bound, kept, bound in used
 
-    scan(tree)
-    return found
+    return list(scan(tree))
 
 
 def _own_nodes(scope):
@@ -55,6 +55,30 @@ def _own_nodes(scope):
             stack.extend(ast.iter_child_nodes(node))
 
 
+def _traced_attributes() -> set:
+    """(module name, attribute) of every FUNCTION_SPANS entry in
+    bench/tracing.py, read from its source."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "FUNCTION_SPANS"):
+            return {(entry.elts[0].id, entry.elts[1].value)
+                    for entry in node.value.elts}
+    raise AssertionError("bench/tracing.py defines no FUNCTION_SPANS")
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    assert _unused_imports(path) == []
+    unused = [f"{path.name}:{node.lineno}: {bound}"
+              for node, bound, kept, used in _imports(path)
+              if not (kept or used)]
+    assert unused == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_reexports_are_traced(path):
+    traced = _traced_attributes()
+    stale = [f"{path.name}:{node.lineno}: {bound}"
+             for node, bound, kept, _ in _imports(path)
+             if kept and (path.stem, bound) not in traced]
+    assert stale == []

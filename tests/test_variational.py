@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from zakharov4d.grid import RadialField, field, lp_norm
+from zakharov4d.grid import (GridError, RadialField, RadialGrid, field, lp_norm,
+                             make_grid)
 from zakharov4d.variational import (
     ABOVE_THRESHOLD,
     BLOWUP_SIDE,
@@ -14,6 +17,7 @@ from zakharov4d.variational import (
     deformation_curve_nu,
     deformation_curve_scaling,
     dilated_w,
+    energy_report,
     functionals,
     gaussian_field,
     gaussian_mass,
@@ -138,6 +142,69 @@ class TestFunctionals:
         assert hi.classification == BLOWUP_SIDE
         at = functionals(*deformation_curve_scaling(wt, wsq, 1.0))
         assert at.classification == ABOVE_THRESHOLD
+
+
+class TestEnergyReport:
+    def test_block_equals_one_column_calls(self, grid_small, rng):
+        g = grid_small
+        pairs = [sample_generator(kind, g, rng) for kind in
+                 ("gaussian", "mixture", "scaled_w", "curve_nu", "gaussian")]
+        u = np.column_stack([p[0].values for p in pairs])
+        N = np.column_stack([p[1].values for p in pairs])
+        spec = g.to_spectral_values(u)
+        block = energy_report(g, spec, u, N)
+        for j in range(u.shape[1]):
+            one = energy_report(g, spec[:, j], u[:, j], N[:, j])
+            for f in fields(one):
+                assert getattr(block, f.name)[j] == getattr(one, f.name), f.name
+
+    def test_refuses_non_finite_samples(self, grid_small):
+        u = gaussian_field(grid_small, 0.4, 1.2)
+        N = gaussian_field(grid_small, 0.3, 1.5)
+        bad_N = N.copy()
+        bad_N.values[5] = np.nan
+        with pytest.raises(GridError):
+            functionals(u, bad_N)
+        with pytest.raises(GridError):
+            check_dichotomy_equivalence([(u, N), (u, bad_N)])
+
+    def test_refuses_mixed_grids(self):
+        near, far = make_grid(64, 20.0), make_grid(64, 30.0)
+        u_near, u_far = gaussian_field(near, 0.4, 1.2), gaussian_field(far, 0.4, 1.2)
+        N_far = gaussian_field(far, 0.3, 1.5)
+        with pytest.raises(GridError):
+            functionals(u_near, N_far)
+        with pytest.raises(GridError):
+            check_dichotomy_equivalence([(u_far, N_far), (u_near, N_far)])
+        with pytest.raises(GridError):
+            check_estK([(u_far, 0.0), (u_near, 0.0)])
+        empty = check_dichotomy_equivalence([])
+        assert (empty.checked, empty.skipped, empty.agreements,
+                empty.indeterminate, empty.counterexamples) == (0, 0, 0, 0, [])
+        est = check_estK([])
+        assert (est.checked, est.skipped, est.violations) == (0, 0, [])
+
+    def test_one_kernel_pass_per_call(self, grid_small, rng, monkeypatch):
+        # a physical pair takes one forward pass of u, and a harness one
+        # pass of its whole u block, whatever the sample count
+        calls = []
+        original = RadialGrid._kernel_apply
+
+        def counted(grid, columns):
+            calls.append(columns.shape)
+            return original(grid, columns)
+
+        monkeypatch.setattr(RadialGrid, "_kernel_apply", counted)
+        pairs = [sample_generator("gaussian", grid_small, rng)
+                 for _ in range(40)]
+        functionals(*pairs[0])
+        assert len(calls) == 1
+        for harness, samples in (
+                (check_dichotomy_equivalence, pairs),
+                (check_estK, [(u, 0.0) for u, _ in pairs])):
+            calls.clear()
+            harness(samples)
+            assert calls == [(grid_small.n, len(pairs))], harness.__name__
 
 
 class TestPositivity:

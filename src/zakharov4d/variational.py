@@ -41,6 +41,8 @@ ABOVE_THRESHOLD = "above_threshold_energy"
 INDETERMINATE = "indeterminate"
 
 THRESHOLD_BAND = 1e-9  # relative band where the mass comparison is a toss-up
+_SIDES = np.array([BLOWUP_SIDE, SCATTERING_SIDE, INDETERMINATE,  # by code
+                   ABOVE_THRESHOLD])
 
 
 def w_profile(r: np.ndarray) -> np.ndarray:
@@ -114,29 +116,27 @@ def energy_report(grid: RadialGrid, u_spec: np.ndarray, u: np.ndarray,
     Non-finite samples (or integrals) raise GridError."""
     if not np.shape(u_spec) == np.shape(u) == np.shape(N) or len(u) != grid.n:
         raise GridError("energy samples do not match each other or the grid")
-    spec, u, N = (np.reshape(a, (grid.n, -1)) for a in (u_spec, u, N))
-    u_sq = np.abs(u) ** 2
-    sums = np.array([grid.integral(u_sq), grid.gradient_sq(spec),
-                     grid.integral(np.abs(u) ** 4),
-                     grid.integral(np.abs(N) ** 2),
-                     grid.integral(np.real(N) * u_sq),
-                     grid.integral(np.abs(N - u_sq) ** 2)])
-    if not np.isfinite(sums).all():
-        raise GridError("energies of non-finite samples")
-    mass, grad_sq, u4_4, N_sq, cross, nu_sq = sums
+    a_u = np.abs(u)
+    u_sq = a_u**2
+    mass, u4_4 = grid.integral(u_sq), grid.integral(a_u**4)
+    grad_sq = grid.gradient_sq(u_spec)
+    N_sq, cross = grid.integral(np.abs(N) ** 2), grid.integral(np.real(N) * u_sq)
+    nu_sq = grid.integral(np.abs(N - u_sq) ** 2)
     e_z = 0.5 * (grad_sq + 0.5 * N_sq - cross)
+    # a non-finite sample, or an overflow, leaves some term, so this sum,
+    # non-finite (the terms other than the cross term are not negative)
+    if not np.isfinite(mass + u4_4 + nu_sq + e_z).all():
+        raise GridError("energies of non-finite samples")
     # the scalar pow of a one-column float ** 0.5 (array ** 0.5 is sqrt)
     n_l2, nu_l2 = np.float_power(N_sq, 0.5), np.float_power(nu_sq, 0.5)
     band = THRESHOLD_BAND * MASS_THRESHOLD_EXACT
-    side = np.select([e_z >= ES_W_EXACT,
-                      np.abs(n_l2 - MASS_THRESHOLD_EXACT) <= band,
-                      n_l2 < MASS_THRESHOLD_EXACT],
-                     [ABOVE_THRESHOLD, INDETERMINATE, SCATTERING_SIDE],
-                     BLOWUP_SIDE)
+    side = _SIDES[np.where(e_z >= ES_W_EXACT, 3, np.where(
+        np.abs(n_l2 - MASS_THRESHOLD_EXACT) <= band, 2,
+        n_l2 < MASS_THRESHOLD_EXACT))]
     columns = (mass, grad_sq, u4_4, grad_sq - u4_4,
                0.5 * grad_sq - 0.25 * u4_4, e_z, n_l2, nu_l2)
-    if np.ndim(u_spec) == 1:
-        return EnergyReport(*(float(c[0]) for c in columns), str(side[0]))
+    if np.ndim(u) == 1:
+        return EnergyReport(*map(float, columns), str(side))
     return EnergyReport(*columns, side)
 
 

@@ -6,7 +6,7 @@ used when its bound name is read anywhere in the enclosing function (or the
 module, for module-level imports).  A ``# noqa: F401`` on the line of an
 imported name keeps it as a deliberate re-export; in the package that is
 allowed only for a name that ``bench/tracing.py``'s ``FUNCTION_SPANS``
-patches on that module, so a re-export outlives its span by no change.
+patches on that module, so a re-export cannot outlive the span it serves.
 """
 
 import ast
@@ -21,8 +21,8 @@ SOURCES = PACKAGE + [path for folder in ("tests", "scripts", "bench")
 
 
 def _imports(path: Path):
-    """(import node, alias, bound name, kept by noqa) of every import in
-    path, with the names each import's enclosing scope reads."""
+    """(import node, bound name, kept by noqa, read in its scope) of every
+    imported name in path."""
     text = path.read_text()
     lines = text.splitlines()
     tree = ast.parse(text, filename=str(path))

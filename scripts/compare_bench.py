@@ -13,8 +13,10 @@ times one ``normal_form.apply_bilinear`` call per kernel kind, one
 ``virial.rate_check`` of a stored full-mode run (with its count of kernel
 passes) at each n of ``VIRIAL_N``, and one adaptive full-mode
 ``dynamics.run`` of fixed length (with its count of kernel passes) at each
-n of ``STEP_N``, in each checkout, ``SWEEP_PAIRS`` times alternating, and
-writes every run, the per-side medians and quartiles, the pair wins and the
+n of ``STEP_N``, and one cold ``RadialGrid`` with its three finite-difference
+matrices at each n of ``SWEEP_N``, in each checkout, ``SWEEP_PAIRS`` times
+alternating.  Each sweep point is the least of ``SWEEP_REPS`` timed calls.
+Writes every run, the per-side medians and quartiles, the pair wins and the
 host description as one JSON file.  Each checkout's
 benchmark code runs on its own sources.
 """
@@ -35,6 +37,7 @@ SWEEP_N = [128, 256, 512, 1024, 2048]
 VIRIAL_N = [256, 512, 1024]
 STEP_N = [128, 256, 512, 1024]
 SWEEP_PAIRS = 3
+SWEEP_REPS = 3
 
 # one apply_bilinear call per kind, one normal_transform call (u, N = 0.9 u)
 # and one transform + normal_inverse round trip on the nf_round_trip data
@@ -47,15 +50,27 @@ SWEEP_PAIRS = 3
 # argument, one adaptive full-mode run of the blowup_trip data (1.3 times
 # the truncated W, r_max 40) from dt = 0.1 to t = 2.4, short of the
 # gradient trip, its RadialGrid._kernel_apply calls counted (kernel passes
-# compare across step controllers; step_values calls need not).
+# compare across step controllers; step_values calls need not); then, per
+# n of the first argument, one cold RadialGrid(n, 40) and its three FD
+# matrices.  Every time is the least of the fourth argument's count of
+# calls, and every count is per call.
 # Prints {n: {kind, "normal_transform" or "round_trip": seconds,
 # "corrections_calls": count}, "decompose_N": seconds,
 # "rate_check": {n: {"seconds", "kernel_passes"}},
-# "step_sweep": {n: {"seconds", "kernel_passes"}}} as JSON
+# "step_sweep": {n: {"seconds", "kernel_passes"}},
+# "build_sweep": {n: seconds}} as JSON
 SWEEP_CODE = """
 import json, sys, time
 import numpy as np
 from zakharov4d import dynamics, grid, normal_form as nf, variational, virial
+reps = json.loads(sys.argv[4])
+def best(call):
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return min(times)
 calls = [0]
 corrections = nf._corrections
 def counted(*args):
@@ -71,18 +86,17 @@ for n in json.loads(sys.argv[1]):
     nf.apply_bilinear(nf.BilinearKernelSpec(nf.OMEGA_PLUS, 0.125), u, u, quad)
     out[n] = {}
     for kind in (nf.OMEGA_PLUS, nf.OMEGA_MINUS, nf.OMEGA_TILDE):
-        t0 = time.perf_counter()
-        nf.apply_bilinear(nf.BilinearKernelSpec(kind, 0.125), u, u.conj(), quad)
-        out[n][kind] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    nf.normal_transform(u, 0.9 * u, 0.125, 0.125, quad)
-    out[n]["normal_transform"] = time.perf_counter() - t0
+        spec_k = nf.BilinearKernelSpec(kind, 0.125)
+        out[n][kind] = best(lambda: nf.apply_bilinear(spec_k, u, u.conj(),
+                                                      quad))
+    out[n]["normal_transform"] = best(
+        lambda: nf.normal_transform(u, 0.9 * u, 0.125, 0.125, quad))
+    def round_trip():
+        tu, tN = nf.normal_transform(u, 0.9 * u, 0.125, 0.125, quad)
+        nf.normal_inverse(tu, tN, 0.125, 0.125, quad=quad)
     calls[0] = 0
-    t0 = time.perf_counter()
-    tu, tN = nf.normal_transform(u, 0.9 * u, 0.125, 0.125, quad)
-    nf.normal_inverse(tu, tN, 0.125, 0.125, quad=quad)
-    out[n]["round_trip"] = time.perf_counter() - t0
-    out[n]["corrections_calls"] = calls[0]
+    out[n]["round_trip"] = best(round_trip)
+    out[n]["corrections_calls"] = calls[0] // reps
 g = grid.make_grid(256, 20.0)
 u0 = 0.1 * dynamics.band_limited_unit_field(g, np.random.default_rng(7),
                                             band=(0.05, 0.3))
@@ -90,9 +104,8 @@ state = dynamics.ZakharovState(u0, variational.gaussian_field(g, 0.4, 2.0))
 cfg = dynamics.IntegratorConfig(dt=2e-3, mode=dynamics.FULL, store_every=10,
                                 monitor_every=10)
 log = dynamics.run(state, cfg, 0.4)
-t0 = time.perf_counter()
-dynamics.decompose_N(log, 0.25, nf.AngularQuadrature(12))
-out["decompose_N"] = time.perf_counter() - t0
+out["decompose_N"] = best(
+    lambda: dynamics.decompose_N(log, 0.25, nf.AngularQuadrature(12)))
 passes = [0]
 kernel = grid.RadialGrid._kernel_apply
 def counted_kernel(self, columns):
@@ -110,11 +123,10 @@ for n in json.loads(sys.argv[2]):
     weights = virial.VirialWeights(g, 10.0)
     grid.RadialGrid._kernel_apply = counted_kernel
     passes[0] = 0
-    t0 = time.perf_counter()
-    virial.rate_check(log.traj_u, log.traj_N, weights)
-    seconds = time.perf_counter() - t0
+    seconds = best(lambda: virial.rate_check(log.traj_u, log.traj_N, weights))
     grid.RadialGrid._kernel_apply = kernel
-    out["rate_check"][n] = {"seconds": seconds, "kernel_passes": passes[0]}
+    out["rate_check"][n] = {"seconds": seconds,
+                            "kernel_passes": passes[0] // reps}
 grid.RadialGrid._kernel_apply = counted_kernel
 out["step_sweep"] = {}
 for n in json.loads(sys.argv[3]):
@@ -126,10 +138,17 @@ for n in json.loads(sys.argv[3]):
                                     adaptive=True, dt_floor=1e-6,
                                     grad_ceiling_factor=7.0, monitor_every=5)
     passes[0] = 0
-    t0 = time.perf_counter()
-    dynamics.run(state, cfg, 2.4)
-    seconds = time.perf_counter() - t0
-    out["step_sweep"][n] = {"seconds": seconds, "kernel_passes": passes[0]}
+    seconds = best(lambda: dynamics.run(state, cfg, 2.4))
+    out["step_sweep"][n] = {"seconds": seconds,
+                            "kernel_passes": passes[0] // reps}
+grid.RadialGrid._kernel_apply = kernel
+def build(n):
+    g = grid.RadialGrid(n, 40.0)
+    g.derivative_matrix()
+    g.second_derivative_matrix()
+    g.wide_derivative_matrix()
+out["build_sweep"] = {n: best(lambda: build(n))
+                      for n in json.loads(sys.argv[1])}
 print(json.dumps(out))
 """
 
@@ -162,7 +181,7 @@ def bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
 def sweep_run(root: Path) -> dict:
     proc = subprocess.run([sys.executable, "-c", SWEEP_CODE,
                            json.dumps(SWEEP_N), json.dumps(VIRIAL_N),
-                           json.dumps(STEP_N)],
+                           json.dumps(STEP_N), json.dumps(SWEEP_REPS)],
                           cwd=root, env=blas_env(root), capture_output=True,
                           text=True, check=True)
     return last_json(proc.stdout)
@@ -274,6 +293,11 @@ def main(argv=None) -> int:
                        for s in sides}
                  for key in ("seconds", "kernel_passes")}
         for n in STEP_N}
+    build_summary = {
+        str(n): {s: statistics.median(r["build_sweep"][str(n)]
+                                      for r in sweep[s])
+                 for s in sides}
+        for n in SWEEP_N}
 
     record = {"host": host(), "run_seconds": seconds,
               "commits": {s: commit_of(p) for s, p in sides.items()},
@@ -304,7 +328,16 @@ def main(argv=None) -> int:
                                      "counted; raw runs under "
                                      "normal_form_sweep.runs, key "
                                      "step_sweep",
-                             "median": step_summary}}
+                             "median": step_summary},
+              "build_sweep": {"data": "one cold RadialGrid(n, 40) and its "
+                                      "derivative_matrix, "
+                                      "second_derivative_matrix and "
+                                      "wide_derivative_matrix; raw runs "
+                                      "under normal_form_sweep.runs, key "
+                                      "build_sweep",
+                              "median_s": build_summary},
+              "sweep_reps": f"each sweep point is the least of "
+                            f"{SWEEP_REPS} timed calls"}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -132,6 +132,11 @@ class IntegratorConfig:
     store_every: int = 0             # 0: no trajectory kept
 
     def __post_init__(self):
+        # a NaN dt would log a "blowup" at t = 0, an infinite one cross the
+        # horizon in one step, and a NaN ceiling never trip
+        for name in ("dt", "dt_floor", "grad_ceiling_factor"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} {getattr(self, name)} is not finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.mode not in (FULL, LINEAR_POTENTIAL, FREE):

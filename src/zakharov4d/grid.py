@@ -9,10 +9,14 @@ so a collocation grid on the scaled zeros of J_1 diagonalizes D = sqrt(-Lap),
 its inverse, and the Laplacian exactly (no angular error).  The discrete pair
 follows the quasi-discrete Hankel transform normalization (Guizar-Sicairos &
 Gutierrez-Vega, JOSA A 21, 2004) as one matrix M and one scalar: physical ->
-spectral is c M and back is M / c, c = (2 pi)^2 r_max^4 / j_{1,n+1}^2.  M is
-nearly its own inverse: max|M^2 - I| is 5.6e-9 at n = 64, 7.2e-10 at
-n = 128 and 8.8e-11 at n = 512 (r_max 30), a property of the quasi-discrete
-kernel, not roundoff, and every round trip carries (M^2 - I) f.
+spectral is c M and back is M / c, c = (2 pi)^2 r_max^4 / j_{1,n+1}^2.  M
+depends on n only (r_max enters through c alone) and is nearly its own
+inverse: max|M^2 - I| is 5.6e-9 at n = 64, 7.2e-10 at n = 128 and 8.8e-11
+at n = 512, a property of the quasi-discrete kernel, not roundoff, and
+every round trip carries (M^2 - I) f.  M is built from the symmetric
+J_1(j_i j_k / j_{1,n+1}): J_1 is evaluated on the upper block triangle only,
+mirrored into the lower blocks, and scaled in place, which gives the
+full-matrix formula bit for bit with no n x n temporary.
 
 Every integral over R^4 of radial samples is one of two grid methods:
 `integral` is SPHERE_S3 sum_k w_k values_k with the Dini weights
@@ -47,6 +51,12 @@ INTERIOR_FRACTION = 0.5
 LOW_MODES = 3
 TRUNCATION_INNER, TRUNCATION_OUTER = 0.6, 0.9
 
+# rows per block of the kernel's upper block triangle (J_1 evaluations)
+_KERNEL_ROWS = 64
+# the highest derivative order each finite-difference stencil width serves;
+# one Fornberg recursion per width builds all of its orders
+_FD_ORDERS = {5: 1, 9: 2}
+
 
 class GridError(ValueError):
     """Invalid grid construction or mismatched grid usage."""
@@ -71,6 +81,8 @@ class RadialGrid:
     transform_kernel : ndarray, shape (n, n)
         Order-1 Fourier-Bessel matrix M = S^{-1} K S, with K the symmetric
         quasi-discrete Hankel kernel and S = diag(j_{1,k} / |J_0(j_{1,k})|);
+        it depends on n only, J_1 is evaluated on its upper block triangle,
+        and
         M^2 = I only to 5.6e-9 (n = 64) ... 8.8e-11 (n = 512), see above.
     """
 
@@ -94,10 +106,20 @@ class RadialGrid:
         self.rho_nodes = j / r_max
 
         # |J_2(j_{1,k})| = |J_0(j_{1,k})| at zeros of J_1; K_ik is
-        # 2 J_1(j_i j_k / j_edge) / (j_edge |J_0(j_i)| |J_0(j_k)|).
+        # 2 J_1(j_i j_k / j_edge) / (j_edge |J_0(j_i)| |J_0(j_k)|).  j_i j_k
+        # is exactly symmetric, so J_1 is evaluated on the row blocks of the
+        # upper block triangle and mirrored into the strictly lower blocks;
+        # the scalings then apply in place, column and row.
         absJ0 = np.abs(special.j0(j))
-        self.transform_kernel = (2.0 * special.j1(np.outer(j, j) / j_edge)
-                                 * (j / absJ0**2) / (j_edge * j[:, None]))
+        kernel = np.empty((n, n))
+        for i0 in range(0, n, _KERNEL_ROWS):
+            i1 = min(i0 + _KERNEL_ROWS, n)
+            kernel[i0:i1, i0:] = special.j1(np.outer(j[i0:i1], j[i0:]) / j_edge)
+            kernel[i1:, i0:i1] = kernel[i0:i1, i1:].T
+        kernel *= 2.0
+        kernel *= j / absJ0**2
+        kernel /= j_edge * j[:, None]
+        self.transform_kernel = kernel
         self._spectral_scale = FOURIER_NORM * r_max**4 / j_edge**2
 
         # Dini-series quadrature for integral g(r) r dr, restated for the
@@ -183,14 +205,15 @@ class RadialGrid:
         return self._fd_matrix(order=1, width=9)
 
     def _fd_matrix(self, order: int, width: int) -> sparse.csr_array:
-        """Read-only banded Fornberg matrix, cached by (order, width)."""
-        D = self._fd_matrices.get((order, width))
-        if D is None:
-            D = _fornberg_matrix(self.r_nodes, order=order, width=width)
-            for arr in (D.data, D.indices, D.indptr):
-                arr.setflags(write=False)
-            self._fd_matrices[(order, width)] = D
-        return D
+        """Read-only banded Fornberg matrix, cached by (order, width); the
+        first call for a width builds every order that width serves."""
+        if (order, width) not in self._fd_matrices:
+            built = _fornberg_matrix(self.r_nodes, _FD_ORDERS[width], width)
+            for k, D in enumerate(built, start=1):
+                for arr in (D.data, D.indices, D.indptr):
+                    arr.setflags(write=False)
+                self._fd_matrices[(k, width)] = D
+        return self._fd_matrices[(order, width)]
 
     def interior_mask(self) -> np.ndarray:
         """Nodes with r < INTERIOR_FRACTION * r_max, clear of the wall."""
@@ -211,8 +234,10 @@ def make_grid(n: int, r_max: float) -> RadialGrid:
 
 
 def _fornberg_weights(x0: np.ndarray, nodes: np.ndarray, order: int) -> np.ndarray:
-    """Fornberg weights for the `order`-th derivative at each x0[i] from the
-    stencil nodes[i]: x0 (n,), nodes (n, m) -> weights (n, m)."""
+    """Fornberg weights for every derivative order 0..`order` at each x0[i]
+    from the stencil nodes[i]: x0 (n,), nodes (n, m) -> weights
+    (order + 1, n, m).  Order k's weights never read a higher order's, so
+    they do not depend on `order`."""
     n, m = nodes.shape
     c = np.zeros((m, order + 1, n))
     c1, c4 = 1.0, nodes[:, 0] - x0
@@ -231,11 +256,12 @@ def _fornberg_weights(x0: np.ndarray, nodes: np.ndarray, order: int) -> np.ndarr
                 c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
             c[j, 0] = c4 * c[j, 0] / c3
         c1 = c2
-    return c[:, order].T
+    return c.transpose(1, 2, 0)
 
 
-def _fornberg_matrix(x: np.ndarray, order: int, width: int) -> sparse.csr_array:
-    """Banded derivative matrix from sliding Fornberg stencils.
+def _fornberg_matrix(x: np.ndarray, order: int, width: int) -> tuple:
+    """Banded derivative matrices of orders 1..`order` from sliding Fornberg
+    stencils, one recursion for all of them.
 
     Row i's stencil is the signed index run k = start + arange(width), with
     start = min(i - width // 2, n - width); the wall rows are one-sided.
@@ -248,9 +274,9 @@ def _fornberg_matrix(x: np.ndarray, order: int, width: int) -> sparse.csr_array:
     k = np.minimum(i - width // 2, n - width)[:, None] + np.arange(width)
     cols = np.where(k < 0, -k - 1, k)
     nodes = np.where(k < 0, -x[cols], x[cols])
-    w = _fornberg_weights(x, nodes, order)
-    return sparse.csr_array((w.ravel(), (np.repeat(i, width), cols.ravel())),
-                            shape=(n, n))
+    rows, cols = np.repeat(i, width), cols.ravel()
+    return tuple(sparse.csr_array((w.ravel(), (rows, cols)), shape=(n, n))
+                 for w in _fornberg_weights(x, nodes, order)[1:])
 
 
 # -- fields -----------------------------------------------------------------

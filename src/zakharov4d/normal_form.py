@@ -89,6 +89,11 @@ class AngularQuadrature:
 
     n_theta: int = 64
 
+    def __post_init__(self):
+        # no nodes would make every kernel exactly zero
+        if self.n_theta < 1:
+            raise ValueError(f"n_theta {self.n_theta} < 1")
+
     @property
     def nodes(self) -> np.ndarray:
         i = np.arange(1, self.n_theta + 1)

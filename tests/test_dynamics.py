@@ -139,6 +139,12 @@ class TestStep:
                 IntegratorConfig(**kwargs)
         IntegratorConfig(monitor_every=1, store_every=0,
                          grad_ceiling_factor=7.0)
+        # non-finite settings are configuration errors, not a blow-up: a NaN
+        # dt logged a "blowup" at t = 0 and a NaN ceiling never tripped
+        for name in ("dt", "dt_floor", "grad_ceiling_factor"):
+            for bad in (np.nan, np.inf):
+                with pytest.raises(ValueError, match=f"{name} .* not finite"):
+                    IntegratorConfig(**{name: bad})
 
 
 class TestStepBuffers:

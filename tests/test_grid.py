@@ -4,9 +4,11 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 from scipy.integrate import quad
 
+from zakharov4d import grid as grid_module
 from zakharov4d.grid import (
     GridError,
     RadialField,
+    RadialGrid,
     apply_multiplier,
     field,
     gradient_norm_sq,
@@ -80,6 +82,38 @@ class TestMakeGrid:
 def relative_l2(weights, values, exact):
     return np.sqrt(np.sum(weights * np.abs(values - exact) ** 2)
                    / np.sum(weights * np.abs(exact) ** 2))
+
+
+class TestKernel:
+    @pytest.mark.parametrize("n", [8, 9, 63, 64, 65, 127, 128, 129, 257])
+    def test_kernel_equals_full_matrix_formula(self, n):
+        # the upper block triangle and its mirror give the full-matrix
+        # formula bit for bit, also where n ends inside or on a row block
+        zeros = special.jn_zeros(1, n + 1)
+        j_edge, j = zeros[n], zeros[:n]
+        absJ0 = np.abs(special.j0(j))
+        full = (2.0 * special.j1(np.outer(j, j) / j_edge)
+                * (j / absJ0**2) / (j_edge * j[:, None]))
+        kernel = RadialGrid(n, 20.0).transform_kernel
+        assert kernel.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("n", [8, 9, 64, 257])
+    def test_symmetric_after_node_scaling(self, n):
+        # S M S^{-1} is the symmetric quasi-discrete kernel, S = diag(j_k /
+        # |J_0(j_k)|); M and this product carry about ten roundings between
+        # them, so entries agree with their transposes to a few ulps
+        g = RadialGrid(n, 20.0)
+        j = special.jn_zeros(1, n + 1)[:n]
+        s = j / np.abs(special.j0(j))
+        K = g.transform_kernel * s[:, None] / s
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(K - K.T) <= 16 * eps * np.abs(K))
+
+    def test_kernel_depends_on_n_only(self):
+        # r_max enters the transform through the scalar c alone
+        a, b = RadialGrid(64, 10.0), RadialGrid(64, 30.0)
+        assert np.array_equal(a.transform_kernel, b.transform_kernel)
+        assert a._spectral_scale != b._spectral_scale
 
 
 class TestTransform:
@@ -339,3 +373,34 @@ class TestDerivative:
             exact = (p * x ** (p - 1) if order == 1
                      else p * (p - 1) * x ** (p - 2)) / g.r_max**order
             assert np.all(np.abs(D @ x**p - exact) <= 1e-6 * np.abs(exact))
+
+    @pytest.mark.parametrize("n", [8, 9, 64, 1024])
+    def test_fd_matrices_equal_per_order_builds(self, n):
+        # one recursion serves both width-9 orders; each order's weights
+        # never read a higher order's, so every matrix equals the build
+        # that stops at its own order
+        g = RadialGrid(n, 10.0)
+        for order, width, name in ((1, 5, "derivative_matrix"),
+                                   (2, 9, "second_derivative_matrix"),
+                                   (1, 9, "wide_derivative_matrix")):
+            D = getattr(g, name)()
+            ref = grid_module._fornberg_matrix(g.r_nodes, order, width)[-1]
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(D, part), getattr(ref, part))
+                assert not getattr(D, part).flags.writeable
+
+    def test_one_recursion_per_width(self, monkeypatch):
+        widths = []
+        weights = grid_module._fornberg_weights
+
+        def counted(x0, nodes, order):
+            widths.append((nodes.shape[1], order))
+            return weights(x0, nodes, order)
+
+        monkeypatch.setattr(grid_module, "_fornberg_weights", counted)
+        g = RadialGrid(64, 10.0)
+        for _ in range(2):
+            g.wide_derivative_matrix()
+            g.derivative_matrix()
+            g.second_derivative_matrix()
+        assert widths == [(9, 2), (5, 1)]

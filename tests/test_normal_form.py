@@ -114,6 +114,13 @@ class TestAngularQuadrature:
         odd = np.sum(q.weights * q.nodes**3)
         assert abs(odd) < 1e-15
 
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_rejects_empty_rule(self, bad):
+        # an empty rule made every kernel exactly zero
+        with pytest.raises(ValueError, match="n_theta"):
+            AngularQuadrature(bad)
+        assert AngularQuadrature(1).nodes.shape == (1,)
+
 
 class TestPairRestrictions:
     @pytest.mark.parametrize("iota", [1 / 2, 1 / 4, 1 / 8, 1 / 16])

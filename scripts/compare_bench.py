@@ -5,20 +5,25 @@
 
 Runs ``bench/run.py`` (untraced) of each checkout on every workload of
 ``BENCHMARK.json`` for ``--pairs`` pairs, one process at a time, alternating
-which side runs first (pair i uses seed ``--seed + i`` on both sides).  Then
-times one ``normal_form.apply_bilinear`` call per kernel kind, one
-``normal_form.normal_transform`` call and one transform + inverse round trip
-(with its count of ``normal_form._corrections`` calls) at each n of
-``SWEEP_N``, one ``dynamics.decompose_N`` of a 21-sample run, and one
-``virial.rate_check`` of a stored full-mode run (with its count of kernel
-passes) at each n of ``VIRIAL_N``, and one adaptive full-mode
+which side runs first (pair i uses seed ``--seed + i`` on both sides).  Each
+checkout's benchmark code runs on its own sources.
+
+Then one sweep process loads both checkouts' packages, each under its own
+name (the package imports only relatively), and times every sweep point on
+the two sides alternately, ``SWEEP_ROUNDS`` rounds per point with the side
+that goes first swapped each round, so host drift between processes does
+not enter a comparison.  The points: one ``normal_form.apply_bilinear`` call
+per kernel kind, one ``normal_form.normal_transform`` call and one transform
++ inverse round trip (with its count of ``normal_form._corrections`` calls)
+at each n of ``SWEEP_N``; one ``dynamics.decompose_N`` of a 21-sample run;
+one ``virial.rate_check`` of a stored full-mode run (with its count of
+kernel passes) at each n of ``VIRIAL_N``; one adaptive full-mode
 ``dynamics.run`` of fixed length (with its count of kernel passes) at each
-n of ``STEP_N``, and one cold ``RadialGrid`` with its three finite-difference
-matrices at each n of ``SWEEP_N``, in each checkout, ``SWEEP_PAIRS`` times
-alternating.  Each sweep point is the least of ``SWEEP_REPS`` timed calls.
-Writes every run, the per-side medians and quartiles, the pair wins and the
-host description as one JSON file.  Each checkout's
-benchmark code runs on its own sources.
+n of ``STEP_N``; and one cold ``RadialGrid`` with its three
+finite-difference matrices at each n of ``SWEEP_N``.  Writes every run,
+the per-side medians and quartiles, the pair wins, every sweep round with
+each side's best and the head's round wins, and the host description as
+one JSON file.
 """
 
 from __future__ import annotations
@@ -36,84 +41,102 @@ BLAS_THREADS = "2"
 SWEEP_N = [128, 256, 512, 1024, 2048]
 VIRIAL_N = [256, 512, 1024]
 STEP_N = [128, 256, 512, 1024]
-SWEEP_PAIRS = 3
-SWEEP_REPS = 3
+SWEEP_ROUNDS = 5
 
-# one apply_bilinear call per kind, one normal_transform call (u, N = 0.9 u)
-# and one transform + normal_inverse round trip on the nf_round_trip data
-# family (spectrum a / (1 + rho^2), r_max = 12, iota = 1/8, 16 angles), the
-# round trip's _corrections calls counted; then one decompose_N of the
-# small-data run (n 256, r_max 20, 21 stored samples, iota 1/4, 12 angles);
-# then, per n of the second argument, one rate_check of the whole stored
-# run of the virial_rate settings (r_max 50, dt 5e-4, 51 samples to t 0.5,
-# R 10), its RadialGrid._kernel_apply calls counted; then, per n of the third
-# argument, one adaptive full-mode run of the blowup_trip data (1.3 times
+# Arguments: the base and head source directories, then the three n lists
+# and the round count as JSON.  Each side's package is imported as zk_base
+# or zk_head, with normal_form._corrections and RadialGrid._kernel_apply
+# wrapped to count calls.  The data: apply_bilinear per kind, one
+# normal_transform (u, N = 0.9 u) and one transform + normal_inverse round
+# trip on the nf_round_trip data family (spectrum 0.5 / (1 + rho^2),
+# r_max = 12, iota = 1/8, 16 angles); one decompose_N of the small-data run
+# (n 256, r_max 20, 21 stored samples, iota 1/4, 12 angles); per n of the
+# second list one rate_check of the whole stored run of the virial_rate
+# settings (r_max 50, dt 5e-4, 51 samples to t 0.5, R 10); per n of the
+# third list one adaptive full-mode run of the blowup_trip data (1.3 times
 # the truncated W, r_max 40) from dt = 0.1 to t = 2.4, short of the
-# gradient trip, its RadialGrid._kernel_apply calls counted (kernel passes
-# compare across step controllers; step_values calls need not); then, per
-# n of the first argument, one cold RadialGrid(n, 40) and its three FD
-# matrices.  Every time is the least of the fourth argument's count of
-# calls, and every count is per call.
-# Prints {n: {kind, "normal_transform" or "round_trip": seconds,
-# "corrections_calls": count}, "decompose_N": seconds,
-# "rate_check": {n: {"seconds", "kernel_passes"}},
-# "step_sweep": {n: {"seconds", "kernel_passes"}},
-# "build_sweep": {n: seconds}} as JSON
+# gradient trip (kernel passes compare across step controllers;
+# step_values calls need not); per n of the first list one cold
+# RadialGrid(n, 40) and its three FD matrices.  Every point prints as
+# {"seconds": {side: [one time per round]}} plus, where counted,
+# {count: {side: calls per call}}; the whole is
+# {"normal_form": {n: {kind, "normal_transform", "round_trip"}},
+# "decompose_N", "rate_check": {n}, "step_sweep": {n}, "build_sweep": {n}}
+# as JSON.
 SWEEP_CODE = """
-import json, sys, time
+import importlib, importlib.util, json, sys, time
 import numpy as np
-from zakharov4d import dynamics, grid, normal_form as nf, variational, virial
-reps = json.loads(sys.argv[4])
-def best(call):
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - t0)
-    return min(times)
-calls = [0]
-corrections = nf._corrections
-def counted(*args):
-    calls[0] += 1
-    return corrections(*args)
-nf._corrections = counted
-out = {}
-for n in json.loads(sys.argv[1]):
+SIDES = ("base", "head")
+rounds = json.loads(sys.argv[6])
+counts = {s: {"corrections_calls": 0, "kernel_passes": 0} for s in SIDES}
+def load(side, src):
+    name = "zk_" + side
+    spec = importlib.util.spec_from_file_location(
+        name, src + "/zakharov4d/__init__.py",
+        submodule_search_locations=[src + "/zakharov4d"])
+    sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[name])
+    m = {k: importlib.import_module(name + "." + k) for k in
+         ("dynamics", "grid", "normal_form", "variational", "virial")}
+    corrections = m["normal_form"]._corrections
+    def counted(*args):
+        counts[side]["corrections_calls"] += 1
+        return corrections(*args)
+    m["normal_form"]._corrections = counted
+    kernel = m["grid"].RadialGrid._kernel_apply
+    def counted_kernel(self, columns):
+        counts[side]["kernel_passes"] += 1
+        return kernel(self, columns)
+    m["grid"].RadialGrid._kernel_apply = counted_kernel
+    return m
+pkgs = {s: load(s, src) for s, src in zip(SIDES, sys.argv[1:3])}
+def alternate(calls, count=None):
+    times = {s: [] for s in SIDES}
+    before = {s: counts[s].get(count, 0) for s in SIDES}
+    for i in range(rounds):
+        for s in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            t0 = time.perf_counter()
+            calls[s]()
+            times[s].append(time.perf_counter() - t0)
+    point = {"seconds": times}
+    if count:
+        point[count] = {s: (counts[s][count] - before[s]) // rounds
+                        for s in SIDES}
+    return point
+def nf_calls(m, n):
+    grid, nf = m["grid"], m["normal_form"]
     g = grid.make_grid(n, 12.0)
     spec = (0.5 / (1.0 + g.rho_nodes**2)).astype(complex)
     u = grid.to_physical(grid.RadialField(g, spec, grid.SPECTRAL))
     quad = nf.AngularQuadrature(16)
     nf.apply_bilinear(nf.BilinearKernelSpec(nf.OMEGA_PLUS, 0.125), u, u, quad)
-    out[n] = {}
-    for kind in (nf.OMEGA_PLUS, nf.OMEGA_MINUS, nf.OMEGA_TILDE):
+    def kernel(kind):
         spec_k = nf.BilinearKernelSpec(kind, 0.125)
-        out[n][kind] = best(lambda: nf.apply_bilinear(spec_k, u, u.conj(),
-                                                      quad))
-    out[n]["normal_transform"] = best(
-        lambda: nf.normal_transform(u, 0.9 * u, 0.125, 0.125, quad))
+        return lambda: nf.apply_bilinear(spec_k, u, u.conj(), quad)
     def round_trip():
         tu, tN = nf.normal_transform(u, 0.9 * u, 0.125, 0.125, quad)
         nf.normal_inverse(tu, tN, 0.125, 0.125, quad=quad)
-    calls[0] = 0
-    out[n]["round_trip"] = best(round_trip)
-    out[n]["corrections_calls"] = calls[0] // reps
-g = grid.make_grid(256, 20.0)
-u0 = 0.1 * dynamics.band_limited_unit_field(g, np.random.default_rng(7),
-                                            band=(0.05, 0.3))
-state = dynamics.ZakharovState(u0, variational.gaussian_field(g, 0.4, 2.0))
-cfg = dynamics.IntegratorConfig(dt=2e-3, mode=dynamics.FULL, store_every=10,
-                                monitor_every=10)
-log = dynamics.run(state, cfg, 0.4)
-out["decompose_N"] = best(
-    lambda: dynamics.decompose_N(log, 0.25, nf.AngularQuadrature(12)))
-passes = [0]
-kernel = grid.RadialGrid._kernel_apply
-def counted_kernel(self, columns):
-    passes[0] += 1
-    return kernel(self, columns)
-out["rate_check"] = {}
-for n in json.loads(sys.argv[2]):
-    g = grid.make_grid(n, 50.0)
+    calls = {kind: kernel(kind) for kind in
+             (nf.OMEGA_PLUS, nf.OMEGA_MINUS, nf.OMEGA_TILDE)}
+    calls["normal_transform"] = lambda: nf.normal_transform(
+        u, 0.9 * u, 0.125, 0.125, quad)
+    calls["round_trip"] = round_trip
+    return calls
+def decompose_call(m):
+    dynamics, grid, nf = m["dynamics"], m["grid"], m["normal_form"]
+    g = grid.make_grid(256, 20.0)
+    u0 = 0.1 * dynamics.band_limited_unit_field(
+        g, np.random.default_rng(7), band=(0.05, 0.3))
+    state = dynamics.ZakharovState(
+        u0, m["variational"].gaussian_field(g, 0.4, 2.0))
+    cfg = dynamics.IntegratorConfig(dt=2e-3, mode=dynamics.FULL,
+                                    store_every=10, monitor_every=10)
+    log = dynamics.run(state, cfg, 0.4)
+    return lambda: dynamics.decompose_N(log, 0.25, nf.AngularQuadrature(12))
+def rate_call(m, n):
+    dynamics, variational, virial = (m["dynamics"], m["variational"],
+                                     m["virial"])
+    g = m["grid"].make_grid(n, 50.0)
     state = dynamics.ZakharovState(
         variational.gaussian_field(g, 0.4, 1.5, chirp=0.15),
         variational.gaussian_field(g, 0.3, 2.0))
@@ -121,40 +144,49 @@ for n in json.loads(sys.argv[2]):
                                     store_every=20, monitor_every=200)
     log = dynamics.run(state, cfg, 0.5)
     weights = virial.VirialWeights(g, 10.0)
-    grid.RadialGrid._kernel_apply = counted_kernel
-    passes[0] = 0
-    seconds = best(lambda: virial.rate_check(log.traj_u, log.traj_N, weights))
-    grid.RadialGrid._kernel_apply = kernel
-    out["rate_check"][n] = {"seconds": seconds,
-                            "kernel_passes": passes[0] // reps}
-grid.RadialGrid._kernel_apply = counted_kernel
-out["step_sweep"] = {}
-for n in json.loads(sys.argv[3]):
+    return lambda: virial.rate_check(log.traj_u, log.traj_N, weights)
+def step_call(m, n):
+    dynamics, grid = m["dynamics"], m["grid"]
     g = grid.make_grid(n, 40.0)
-    wt = variational.w_field(g, truncated=True)
-    state = dynamics.ZakharovState(1.3 * wt,
-                                   grid.RadialField(g, (1.3 * wt.values) ** 2))
+    wt = m["variational"].w_field(g, truncated=True)
+    state = dynamics.ZakharovState(
+        1.3 * wt, grid.RadialField(g, (1.3 * wt.values) ** 2))
     cfg = dynamics.IntegratorConfig(dt=0.1, mode=dynamics.FULL,
                                     adaptive=True, dt_floor=1e-6,
                                     grad_ceiling_factor=7.0, monitor_every=5)
-    passes[0] = 0
-    seconds = best(lambda: dynamics.run(state, cfg, 2.4))
-    out["step_sweep"][n] = {"seconds": seconds,
-                            "kernel_passes": passes[0] // reps}
-grid.RadialGrid._kernel_apply = kernel
-def build(n):
-    g = grid.RadialGrid(n, 40.0)
-    g.derivative_matrix()
-    g.second_derivative_matrix()
-    g.wide_derivative_matrix()
-out["build_sweep"] = {n: best(lambda: build(n))
-                      for n in json.loads(sys.argv[1])}
+    return lambda: dynamics.run(state, cfg, 2.4)
+def build_call(m, n):
+    def build():
+        g = m["grid"].RadialGrid(n, 40.0)
+        g.derivative_matrix()
+        g.second_derivative_matrix()
+        g.wide_derivative_matrix()
+    return build
+out = {"normal_form": {}}
+for n in json.loads(sys.argv[3]):
+    calls = {s: nf_calls(m, n) for s, m in pkgs.items()}
+    out["normal_form"][n] = {
+        key: alternate({s: calls[s][key] for s in SIDES},
+                       "corrections_calls" if key == "round_trip" else None)
+        for key in calls["head"]}
+out["decompose_N"] = alternate({s: decompose_call(m) for s, m in pkgs.items()})
+out["rate_check"] = {
+    n: alternate({s: rate_call(m, n) for s, m in pkgs.items()},
+                 "kernel_passes")
+    for n in json.loads(sys.argv[4])}
+out["step_sweep"] = {
+    n: alternate({s: step_call(m, n) for s, m in pkgs.items()},
+                 "kernel_passes")
+    for n in json.loads(sys.argv[5])}
+out["build_sweep"] = {
+    n: alternate({s: build_call(m, n) for s, m in pkgs.items()})
+    for n in json.loads(sys.argv[3])}
 print(json.dumps(out))
 """
 
 
-def blas_env(root: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+def blas_env() -> dict:
+    env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = BLAS_THREADS
     return env
@@ -178,13 +210,29 @@ def bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
             **{k: v["value"] for k, v in res["metrics"].items()}}
 
 
-def sweep_run(root: Path) -> dict:
+def sweep_run(sides: dict) -> dict:
     proc = subprocess.run([sys.executable, "-c", SWEEP_CODE,
+                           str(sides["base"] / "src"),
+                           str(sides["head"] / "src"),
                            json.dumps(SWEEP_N), json.dumps(VIRIAL_N),
-                           json.dumps(STEP_N), json.dumps(SWEEP_REPS)],
-                          cwd=root, env=blas_env(root), capture_output=True,
-                          text=True, check=True)
+                           json.dumps(STEP_N), json.dumps(SWEEP_ROUNDS)],
+                          env=blas_env(), capture_output=True, text=True,
+                          check=True)
     return last_json(proc.stdout)
+
+
+def sweep_summary(node: dict) -> dict:
+    """Each sweep point's best time per side, the rounds the head won
+    (ties count for neither) and its counts; the nesting is kept."""
+    if "seconds" not in node:
+        return {key: sweep_summary(sub) for key, sub in node.items()}
+    times = node["seconds"]
+    point = {"best_s": {s: min(ts) for s, ts in times.items()},
+             "head_wins": sum(h < b for b, h in zip(times["base"],
+                                                     times["head"])),
+             "rounds": len(times["head"])}
+    point.update({key: val for key, val in node.items() if key != "seconds"})
+    return point
 
 
 def quartiles(xs: list) -> dict:
@@ -257,11 +305,8 @@ def main(argv=None) -> int:
                 print(f"{w} pair {i} {side}: wall_s {res['wall_s']:.3f}",
                       file=sys.stderr, flush=True)
 
-    sweep = {"base": [], "head": []}
-    for i in range(SWEEP_PAIRS):
-        for side in alternate(i):
-            sweep[side].append(sweep_run(sides[side]))
-            print(f"sweep {i} {side} done", file=sys.stderr, flush=True)
+    sweep = sweep_run(sides)
+    print("sweep done", file=sys.stderr, flush=True)
 
     summary = {}
     for w in workloads:
@@ -273,71 +318,31 @@ def main(argv=None) -> int:
             summary[w][m["name"]] = compare(
                 [r[m["name"]] for r in runs[w]["base"]],
                 [r[m["name"]] for r in runs[w]["head"]], m["better"])
-    sweep_summary = {
-        str(n): {kind: {s: statistics.median(r[str(n)][kind] for r in sweep[s])
-                        for s in sides}
-                 for kind in sweep["head"][0][str(n)]}
-        for n in SWEEP_N}
-    sweep_summary["decompose_N"] = {
-        s: statistics.median(r["decompose_N"] for r in sweep[s])
-        for s in sides}
-    virial_summary = {
-        str(n): {key: {s: statistics.median(r["rate_check"][str(n)][key]
-                                            for r in sweep[s])
-                       for s in sides}
-                 for key in ("seconds", "kernel_passes")}
-        for n in VIRIAL_N}
-    step_summary = {
-        str(n): {key: {s: statistics.median(r["step_sweep"][str(n)][key]
-                                            for r in sweep[s])
-                       for s in sides}
-                 for key in ("seconds", "kernel_passes")}
-        for n in STEP_N}
-    build_summary = {
-        str(n): {s: statistics.median(r["build_sweep"][str(n)]
-                                      for r in sweep[s])
-                 for s in sides}
-        for n in SWEEP_N}
 
     record = {"host": host(), "run_seconds": seconds,
               "commits": {s: commit_of(p) for s, p in sides.items()},
               "order": "pair i runs base first when i is even, head first "
                        "when i is odd; one process at a time",
               "summary": summary, "runs": runs,
-              "normal_form_sweep": {"data": "spectrum 0.5 / (1 + rho^2), "
-                                            "r_max 12, iota 1/8, 16 angles; "
-                                            "apply_bilinear f = u, g = conj "
-                                            "u; normal_transform and the "
-                                            "round trip (u, 0.9 u); "
-                                            "decompose_N n 256, 21 "
-                                            "samples, iota 1/4, 12 angles",
-                                    "median_s": sweep_summary,
-                                    "runs": sweep},
-              "virial_sweep": {"data": "one rate_check of the whole stored "
-                                       "run of the virial_rate settings "
-                                       "(r_max 50, dt 5e-4, 51 samples to "
-                                       "t 0.5, R 10); raw runs under "
-                                       "normal_form_sweep.runs, key "
-                                       "rate_check",
-                               "median": virial_summary},
-              "step_sweep": {"data": "one adaptive full-mode run of the "
-                                     "blowup_trip data (1.3 times the "
-                                     "truncated W, r_max 40) from dt "
-                                     "0.1 to t 2.4, its "
-                                     "RadialGrid._kernel_apply calls "
-                                     "counted; raw runs under "
-                                     "normal_form_sweep.runs, key "
-                                     "step_sweep",
-                             "median": step_summary},
-              "build_sweep": {"data": "one cold RadialGrid(n, 40) and its "
-                                      "derivative_matrix, "
-                                      "second_derivative_matrix and "
-                                      "wide_derivative_matrix; raw runs "
-                                      "under normal_form_sweep.runs, key "
-                                      "build_sweep",
-                              "median_s": build_summary},
-              "sweep_reps": f"each sweep point is the least of "
-                            f"{SWEEP_REPS} timed calls"}
+              "sweep": {"data": "normal_form: spectrum 0.5 / (1 + rho^2), "
+                                "r_max 12, iota 1/8, 16 angles, "
+                                "apply_bilinear f = u, g = conj u, "
+                                "normal_transform and the round trip "
+                                "(u, 0.9 u); decompose_N: n 256, 21 "
+                                "samples, iota 1/4, 12 angles; rate_check: "
+                                "the whole stored run of the virial_rate "
+                                "settings (r_max 50, dt 5e-4, 51 samples "
+                                "to t 0.5, R 10); step_sweep: one adaptive "
+                                "full-mode run of the blowup_trip data "
+                                "(1.3 times the truncated W, r_max 40) "
+                                "from dt 0.1 to t 2.4; build_sweep: one "
+                                "cold RadialGrid(n, 40) and its three FD "
+                                "matrices",
+                        "order": f"one process holds both sides; each "
+                                 f"point runs {SWEEP_ROUNDS} rounds, base "
+                                 f"first in even rounds and head first in "
+                                 f"odd ones",
+                        "summary": sweep_summary(sweep), "rounds": sweep}}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -93,7 +93,7 @@ def besov_norm(f: RadialField, s: float, p: float, q: float) -> float:
 
     (sum_j (j^s |P_j f|_p)^q)^{1/q}, with q = inf taking the sup.
     """
-    if p < 1 or q < 1:
+    if not (p >= 1 and q >= 1):   # refuses NaN too
         raise ValueError(f"Besov exponents need p, q >= 1, got p={p}, q={q}")
     spec = to_spectral(f)
     return besov_from_spectrum(spec.values, f.grid, s, p, q)
@@ -243,6 +243,9 @@ def spacetime_norm_X(traj: TrajectorySamples, delta: float,
     samples).  dual=True evaluates X^delta_* = L^2_t Besov(-delta, 2(1-delta), 2).
     Time integrals by trapezoid over the samples.
     """
+    if traj.times.size == 0:
+        raise ValueError("space-time norm of an empty trajectory "
+                         "(no sample times)")
     s, p = xdelta_exponents(delta, dual)
     grid = traj.grid
     terms, block_l2 = dyadic_profile(grid.to_spectral_values(traj.values),

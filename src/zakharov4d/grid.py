@@ -6,17 +6,23 @@ transform of order d/2 - 1 = 1,
     F phi(rho) = (2 pi)^2 rho^{-1} integral_0^inf phi(r) J_1(r rho) r^2 dr,
 
 so a collocation grid on the scaled zeros of J_1 diagonalizes D = sqrt(-Lap),
-its inverse, and the Laplacian exactly (no angular error).  The discrete pair
-follows the quasi-discrete Hankel transform normalization (Guizar-Sicairos &
-Gutierrez-Vega, JOSA A 21, 2004) as one matrix M and one scalar: physical ->
-spectral is c M and back is M / c, c = (2 pi)^2 r_max^4 / j_{1,n+1}^2.  M
-depends on n only (r_max enters through c alone) and is nearly its own
-inverse: max|M^2 - I| is 5.6e-9 at n = 64, 7.2e-10 at n = 128 and 8.8e-11
-at n = 512, a property of the quasi-discrete kernel, not roundoff, and
-every round trip carries (M^2 - I) f.  M is built from the symmetric
-J_1(j_i j_k / j_{1,n+1}): J_1 is evaluated on the upper block triangle only,
-mirrored into the lower blocks, and scaled in place, which gives the
-full-matrix formula bit for bit with no n x n temporary.
+its inverse, and the Laplacian exactly (no angular error).  The zeros
+j_{1,k} come from McMahon's expansion (DLMF 10.21.19) and two vectorised
+Newton steps on J_1 (`_j1_zeros`).  They sit within 1 ulp of
+scipy.special.jn_zeros(1, .) and differ from it only on 35 zeros with
+k <= 93, where scipy's Bessel recurrences and J_1 round differently.
+
+The discrete pair follows the quasi-discrete Hankel transform normalization
+(Guizar-Sicairos & Gutierrez-Vega, JOSA A 21, 2004) as one matrix M and one
+scalar: physical -> spectral is c M and back is M / c, with
+c = (2 pi)^2 r_max^4 / j_{1,n+1}^2.  M depends on n only (r_max enters
+through c alone) and is nearly its own inverse: max|M^2 - I| is 5.6e-9 at
+n = 64, 7.2e-10 at 128, 9.1e-11 at 256, 8.7e-11 at 512, 3.2e-10 at 1024,
+9.4e-10 at 2048 and 5.3e-9 at 4096, a property of the quasi-discrete
+kernel, not roundoff, and every round trip carries (M^2 - I) f.  M is built
+from the symmetric J_1(j_i j_k / j_{1,n+1}): J_1 is evaluated on the upper
+block triangle only, mirrored into the lower blocks, and scaled in place,
+which gives the full-matrix formula bit for bit with no n x n temporary.
 
 Every integral over R^4 of radial samples is one of two grid methods:
 `integral` is SPHERE_S3 sum_k w_k values_k with the Dini weights
@@ -73,7 +79,8 @@ class RadialGrid:
         Truncation radius (Dirichlet wall of the Fourier-Bessel basis).
     r_nodes, rho_nodes : ndarray
         Radii r_k = j_{1,k} r_max / j_{1,n+1} and paired frequencies
-        rho_k = j_{1,k} / r_max, both strictly increasing.
+        rho_k = j_{1,k} / r_max, both strictly increasing; the zeros are
+        `_j1_zeros`'s, within 1 ulp of scipy's jn_zeros (equal for k > 93).
     quad_weights_r, quad_weights_rho : ndarray
         Positive weights realizing integral f r^3 dr on each side.
     rho_sq : ndarray
@@ -82,8 +89,8 @@ class RadialGrid:
         Order-1 Fourier-Bessel matrix M = S^{-1} K S, with K the symmetric
         quasi-discrete Hankel kernel and S = diag(j_{1,k} / |J_0(j_{1,k})|);
         it depends on n only, J_1 is evaluated on its upper block triangle,
-        and
-        M^2 = I only to 5.6e-9 (n = 64) ... 8.8e-11 (n = 512), see above.
+        and M^2 = I only to 5.6e-9 (n = 64), 8.7e-11 (n = 512) and 5.3e-9
+        (n = 4096), see above.
     """
 
     def __init__(self, n: int, r_max: float):
@@ -95,7 +102,7 @@ class RadialGrid:
             raise GridError(f"r_max must be positive and finite, got {r_max!r}")
 
         n = int(n)
-        zeros = special.jn_zeros(1, n + 1)
+        zeros = _j1_zeros(n + 1)
         j_edge = zeros[n]          # j_{1,n+1}, sets the band limit
         j = zeros[:n]
 
@@ -218,6 +225,25 @@ class RadialGrid:
     def interior_mask(self) -> np.ndarray:
         """Nodes with r < INTERIOR_FRACTION * r_max, clear of the wall."""
         return self.r_nodes < INTERIOR_FRACTION * self.r_max
+
+
+def _j1_zeros(count: int) -> np.ndarray:
+    """The first `count` positive zeros j_{1,1} < ... < j_{1,count} of J_1.
+
+    McMahon's expansion in beta = (k + 1/4) pi to the beta^-5 term (DLMF
+    10.21.19) starts every zero within 7e-5 (k = 1) and closer as k grows;
+    Newton on J_1 with J_1' = J_0 - J_1 / x squares the error times
+    1 / (2 j_{1,k}), so two steps reach roundoff.  The result is within
+    1 ulp of scipy.special.jn_zeros(1, count), equal to it for k > 93.
+    """
+    beta = (np.arange(1, count + 1) + 0.25) * np.pi
+    # beta - 3 / (8 beta) + 3 / (128 beta^3) - 1179 / (5120 beta^5)
+    inv_sq = beta**-2
+    x = beta - (0.375 + (1179.0 / 5120.0 * inv_sq - 3.0 / 128.0) * inv_sq) / beta
+    for _ in range(2):
+        j1 = special.j1(x)
+        x -= j1 / (special.j0(x) - j1 / x)
+    return x
 
 
 def _column_sums(w: np.ndarray, values: np.ndarray):
@@ -411,7 +437,7 @@ def low_mode_share(grid: RadialGrid, spec: np.ndarray):
 
 def lp_norm(f: RadialField, p: float) -> float:
     """L^p norm over R^4 by radial quadrature; p = inf returns max |f|."""
-    if p < 1:
+    if not p >= 1:   # refuses NaN too
         raise ValueError(f"p must be >= 1, got {p}")
     g = to_physical(f)
     a = np.abs(g.values)

@@ -37,6 +37,7 @@ products.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -305,9 +306,13 @@ def _sweep_side(grid, quad, hl_range, terms):
     tau, the cutoff, the runs and one interpolation per distinct f
     spectrum are built once per chunk, and the terms on one spectrum run
     right after its interpolation, so one interpolated box is held at a
-    time; each term adds its own denominator (tau and sigma swapped for a
-    mirrored term) and its real weights cut w_c / den.  A term with conj_f
-    takes the conjugate angular sum, as interp(conj fs) = conj(interp fs).
+    time.  The real weights cut w_c / den depend on the term through its
+    (spec, mirrored) key alone (tau and sigma swapped in the denominator
+    for a mirrored term): a key that several terms share, as the columns
+    of omega_tilde_self_spectra do, is divided once per chunk and its
+    weights kept; the other keys are divided per term into one buffer.
+    A term with conj_f takes the conjugate angular sum, as
+    interp(conj fs) = conj(interp fs).
     """
     j, lo, hi = hl_range
     rho = grid.rho_nodes
@@ -327,6 +332,8 @@ def _sweep_side(grid, quad, hl_range, terms):
             live |= term_live
     if not by_f:
         return
+    keys = Counter((term.spec, term.mirrored)
+                   for _, f_terms in by_f.values() for term, _ in f_terms)
     cols_live = np.nonzero(live)[0]
     sigma = rho[cols_live]
     c = quad.nodes
@@ -347,19 +354,27 @@ def _sweep_side(grid, quad, hl_range, terms):
         cut = chi0(tau / j)
         mask = cut > 0
         cut *= wc[ka:kb]
-        # one weight buffer per chunk: entries off the mask stay zero
-        weight = np.zeros(tau.shape)
+        # weights of shared keys, and one buffer for the rest: entries off
+        # the mask stay zero in both
+        shared, buffer = {}, np.zeros(tau.shape)
         for fs, f_terms in by_f.values():
             f_tau = np.interp(tau, rho, fs, left=0.0, right=0.0)
             for term, g_w in f_terms:
-                den = (term.spec.denominator(rr, ss, tau) if term.mirrored
-                       else term.spec.denominator(rr, tau, ss))
-                if (np.any(mask)
-                        and np.abs(den[mask]).min() < DENOMINATOR_FLOOR):
-                    raise KernelError(
-                        f"{term.spec.kind} denominator vanished on restricted "
-                        f"support (f block {j:g}, g blocks {lo:g}..{hi:g})")
-                np.divide(cut, den, where=mask, out=weight)
+                key = (term.spec, term.mirrored)
+                weight = shared.get(key)
+                if weight is None:
+                    den = (term.spec.denominator(rr, ss, tau) if term.mirrored
+                           else term.spec.denominator(rr, tau, ss))
+                    if (np.any(mask)
+                            and np.abs(den[mask]).min() < DENOMINATOR_FLOOR):
+                        raise KernelError(
+                            f"{term.spec.kind} denominator vanished on "
+                            f"restricted support (f block {j:g}, g blocks "
+                            f"{lo:g}..{hi:g})")
+                    weight = buffer
+                    if keys[key] > 1:
+                        weight = shared[key] = np.zeros(tau.shape)
+                    np.divide(cut, den, where=mask, out=weight)
                 angular = np.einsum("rck,rck->rc", weight, f_tau)
                 if term.conj_f:
                     angular = angular.conj()

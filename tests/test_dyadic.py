@@ -150,6 +150,11 @@ class TestBesov:
         with pytest.raises(ValueError):
             besov_norm(zero_field(grid_small), 0.0, 0.5, 2)
 
+    @pytest.mark.parametrize("p, q", [(np.nan, 2), (2, np.nan)])
+    def test_rejects_nan_exponents(self, grid_small, p, q):
+        with pytest.raises(ValueError):
+            besov_norm(zero_field(grid_small), 0.5, p, q)
+
 
 class TestWeight:
     def test_hand_table(self):
@@ -276,6 +281,12 @@ class TestSpacetimeNorm:
         full = spacetime_norm_X(traj, 0.1)
         half = spacetime_norm_X(traj.restricted(0.0, 1.0), 0.1)
         assert half <= full + 1e-12
+
+    def test_rejects_empty_trajectory(self, grid_small):
+        traj = TrajectorySamples(grid_small, [0.0, 0.1],
+                                 np.zeros((grid_small.n, 2)))
+        with pytest.raises(ValueError, match="empty trajectory"):
+            spacetime_norm_X(traj.restricted(0.5, 0.6), 0.1)
 
     def test_homogeneous(self, grid_small, rng):
         f, traj = self.make_const_traj(grid_small, rng)

@@ -63,6 +63,21 @@ class TestMakeGrid:
         assert g.r_nodes[0] > 0 and g.r_nodes[-1] < g.r_max
         assert np.all(g.quad_weights_r > 0) and np.all(g.quad_weights_rho > 0)
 
+    @pytest.mark.parametrize("count", [9, 65, 257, 1025, 4097, 8193])
+    def test_j1_zeros_within_one_ulp_of_scipy(self, count):
+        zeros = grid_module._j1_zeros(count)
+        ref = special.jn_zeros(1, count)
+        assert zeros.shape == (count,)
+        assert np.all(np.abs(zeros - ref) <= np.spacing(ref))
+        assert np.all(np.diff(zeros) > 0)
+
+    def test_build_does_not_call_jn_zeros(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("RadialGrid called special.jn_zeros")
+        monkeypatch.setattr(special, "jn_zeros", refuse)
+        g = RadialGrid(64, 10.0)
+        assert np.abs(special.j1(g.rho_nodes * 10.0)).max() < 1e-12
+
     def test_zero_accuracy(self):
         g = make_grid(32, 10.0)
         zeros = g.rho_nodes * 10.0
@@ -89,7 +104,7 @@ class TestKernel:
     def test_kernel_equals_full_matrix_formula(self, n):
         # the upper block triangle and its mirror give the full-matrix
         # formula bit for bit, also where n ends inside or on a row block
-        zeros = special.jn_zeros(1, n + 1)
+        zeros = grid_module._j1_zeros(n + 1)
         j_edge, j = zeros[n], zeros[:n]
         absJ0 = np.abs(special.j0(j))
         full = (2.0 * special.j1(np.outer(j, j) / j_edge)
@@ -103,7 +118,7 @@ class TestKernel:
         # |J_0(j_k)|); M and this product carry about ten roundings between
         # them, so entries agree with their transposes to a few ulps
         g = RadialGrid(n, 20.0)
-        j = special.jn_zeros(1, n + 1)[:n]
+        j = grid_module._j1_zeros(n + 1)[:n]
         s = j / np.abs(special.j0(j))
         K = g.transform_kernel * s[:, None] / s
         eps = np.finfo(float).eps
@@ -244,6 +259,10 @@ class TestNorms:
     def test_rejects_p_below_one(self, grid_small):
         with pytest.raises(ValueError):
             lp_norm(zero_field(grid_small), 0.5)
+
+    def test_rejects_nan_p(self, grid_small):
+        with pytest.raises(ValueError):
+            lp_norm(zero_field(grid_small), np.nan)
 
     @given(lam=st.floats(-3, 3, allow_nan=False))
     @settings(max_examples=25, deadline=None)

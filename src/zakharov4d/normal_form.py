@@ -37,7 +37,6 @@ products.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -308,9 +307,9 @@ def _sweep_side(grid, quad, hl_range, terms):
     right after its interpolation, so one interpolated box is held at a
     time.  The real weights cut w_c / den depend on the term through its
     (spec, mirrored) key alone (tau and sigma swapped in the denominator
-    for a mirrored term): a key that several terms share, as the columns
-    of omega_tilde_self_spectra do, is divided once per chunk and its
-    weights kept; the other keys are divided per term into one buffer.
+    for a mirrored term), so each key is divided once per chunk and the
+    terms that share it, as the columns of omega_tilde_self_spectra do,
+    reuse its weights.
     A term with conj_f takes the conjugate angular sum, as
     interp(conj fs) = conj(interp fs).
     """
@@ -332,8 +331,6 @@ def _sweep_side(grid, quad, hl_range, terms):
             live |= term_live
     if not by_f:
         return
-    keys = Counter((term.spec, term.mirrored)
-                   for _, f_terms in by_f.values() for term, _ in f_terms)
     cols_live = np.nonzero(live)[0]
     sigma = rho[cols_live]
     c = quad.nodes
@@ -354,14 +351,14 @@ def _sweep_side(grid, quad, hl_range, terms):
         cut = chi0(tau / j)
         mask = cut > 0
         cut *= wc[ka:kb]
-        # weights of shared keys, and one buffer for the rest: entries off
-        # the mask stay zero in both
-        shared, buffer = {}, np.zeros(tau.shape)
+        # weights per key, divided in place into the fresh den; off the
+        # mask cut is 0 (chi0 >= 0) and den is set to 1, so weights are 0
+        weights = {}
         for fs, f_terms in by_f.values():
             f_tau = np.interp(tau, rho, fs, left=0.0, right=0.0)
             for term, g_w in f_terms:
                 key = (term.spec, term.mirrored)
-                weight = shared.get(key)
+                weight = weights.get(key)
                 if weight is None:
                     den = (term.spec.denominator(rr, ss, tau) if term.mirrored
                            else term.spec.denominator(rr, tau, ss))
@@ -371,10 +368,8 @@ def _sweep_side(grid, quad, hl_range, terms):
                             f"{term.spec.kind} denominator vanished on "
                             f"restricted support (f block {j:g}, g blocks "
                             f"{lo:g}..{hi:g})")
-                    weight = buffer
-                    if keys[key] > 1:
-                        weight = shared[key] = np.zeros(tau.shape)
-                    np.divide(cut, den, where=mask, out=weight)
+                    den[~mask] = 1.0
+                    weight = weights[key] = np.divide(cut, den, out=den)
                 angular = np.einsum("rck,rck->rc", weight, f_tau)
                 if term.conj_f:
                     angular = angular.conj()

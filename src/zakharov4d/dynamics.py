@@ -35,16 +35,16 @@ between the two dampings and is not damped again.  `step_values` writes
 the blocks each pass reads into the propagator's reused work blocks and
 returns new arrays, never views of those blocks.
 
-`run` returns to physical space only at monitor and store instants, one
-backward pass each, and the only RadialFields it builds are those of its
-final state.  Adaptive mode controls dt by step doubling with Richardson's
-error estimate (Hairer, Norsett & Wanner, Solving ODEs I, II.4): an
-attempt is one doubled `step_values` call of 4 passes, a paired Strang
-call giving S_h and S_{h/2} and a one-column call giving the second half
-step, with no check pass, and it needs no conserved quantity.  Adaptive
-stepping is still refused in linear_potential mode and with the sponge,
-which are not tested adaptively.  `strichartz_probe` steps its whole
-ensemble as the u columns of one state that shares the free-wave column.
+One generator, `_accepted_steps`, holds the only attempt loop; `run` and
+`strichartz_probe` consume it.  Adaptive mode controls dt by step doubling
+with Richardson's error estimate (Hairer, Norsett & Wanner, Solving ODEs
+I, II.4): an attempt is one doubled `step_values` call of 4 passes, and it
+needs no conserved quantity.  Adaptive stepping is still refused in
+linear_potential mode and with the sponge, which are not tested
+adaptively.  `run` returns to physical space only at monitor and store
+instants, one backward pass each, and builds RadialFields only for its
+final state.  `strichartz_probe` steps its whole ensemble as the u columns
+of one state that shares the free-wave column.
 
 Modes: "full" (everything on), "linear_potential" (wave source dropped: N
 evolves freely, u still sees Re N), "free" (all nonlinearities off).
@@ -53,6 +53,7 @@ evolves freely, u still sees Re N), "free" (all nonlinearities off).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
 
 import numpy as np
 
@@ -338,12 +339,6 @@ class _Propagator:
         return self.grid.to_physical_values(
             np.concatenate((u, N), axis=1, out=self._work("check", 2, "C")))
 
-    def check(self, u: np.ndarray, phys: np.ndarray):
-        """(phys, its `energy_report`, flow energy) of a one-column state,
-        spectral u and physical block phys = [u, N]: no kernel pass."""
-        report = energy_report(self.grid, u[:, 0], phys[:, 0], phys[:, 1])
-        return phys, report, flow_energy(report, self.cfg.mode)
-
 
 def _richardson_error(grid: RadialGrid, coarse_u, coarse_N, fine_u,
                       fine_N) -> float:
@@ -366,25 +361,63 @@ def _step_factor(err: float) -> float:
                               STEP_SAFETY * (ERR_TOL / err) ** (1.0 / 3.0)))
 
 
-def _state(grid: RadialGrid, phys: np.ndarray, t: float) -> ZakharovState:
-    """The state whose physical block [u, N] is phys (columns copied)."""
-    return ZakharovState(RadialField(grid, phys[:, 0].copy()),
-                         RadialField(grid, phys[:, 1].copy()), t)
-
-
 class BlowupError(RuntimeError):
-    """Step produced non-finite values."""
+    """Stepping stopped after the accepted time t, for `reason`: "non-finite
+    values", or "dt underflow" (an adaptive step below dt_floor)."""
+
+    def __init__(self, t: float, reason: str):
+        super().__init__(f"{reason} after t={t:g}")
+        self.t, self.reason = t, reason
 
 
-def step(state: ZakharovState, cfg: IntegratorConfig,
-         dt: float | None = None) -> ZakharovState:
-    """Advance one Strang step; raises BlowupError on non-finite output."""
-    dt = cfg.dt if dt is None else dt
-    prop = _Propagator(state.grid, cfg)
-    u, N = prop.step_values(*prop.load(state.u.values, state.N.values), dt)
-    if not (np.isfinite(u).all() and np.isfinite(N).all()):
-        raise BlowupError(f"non-finite state at t={state.t + dt:g}")
-    return _state(state.grid, prop.physical(u, N), state.t + dt)
+def _accepted_steps(prop: _Propagator, u: np.ndarray, N: np.ndarray,
+                    t: float, t_end: float, log: RunLog):
+    """Advance the spectral state (u, N) from t to t_end (finite, or a
+    ValueError): (k, t, h, u, N) after the k-th accepted step, h its step.
+
+    An attempt takes h = min(dt, t_end - t) by one `step_values` call, and
+    an accepted u is the next call's input.  Adaptive, the call is doubled:
+    a paired Strang call takes [u, u] / [N, N] by (h, h/2) to S_h and
+    S_{h/2} (2 passes of 4 columns), and a one-column call takes the second
+    half step, S_{h/2}^2 (2 passes of 2 columns).  err = |S_h - S_{h/2}^2|_2
+    / 3 relative to the state (`_richardson_error`) rejects the attempt
+    above ERR_TOL, and either way the next step is h times
+    `_step_factor(err)`, so dt may grow past cfg.dt, the initial step.  The
+    accepted state is S_{h/2}^2, never the extrapolation (which is not
+    unitary).  A non-finite attempt halves the step when adaptive; a
+    non-finite fixed step, or a next step below dt_floor, raises
+    BlowupError.  log counts the attempts and rejections (both kinds) and
+    keeps the largest accepted err.
+    """
+    if not np.isfinite(t_end):
+        raise ValueError(f"t_end {t_end} is not finite")
+    cfg = prop.cfg
+    dt, k = cfg.dt, 0
+    while t < t_end - 1e-12:
+        h = min(dt, t_end - t)
+        log.attempts += 1
+        if cfg.adaptive:
+            nu, nN, err = prop.step_values(u, N, h, doubled=True)
+            finite = np.isfinite(err)
+        else:
+            nu, nN = prop.step_values(u, N, h)
+            finite = np.isfinite(nu).all() and np.isfinite(nN).all()
+        if not finite:
+            log.rejected += 1
+            if cfg.adaptive and h / 2.0 >= cfg.dt_floor:
+                dt = h / 2.0
+                continue
+            raise BlowupError(t, "non-finite values")
+        if cfg.adaptive:
+            dt = h * _step_factor(err)
+            if err > ERR_TOL:
+                log.rejected += 1
+                if dt < cfg.dt_floor:
+                    raise BlowupError(t, "dt underflow")
+                continue
+            log.err_max = max(log.err_max, err)
+        u, N, t, k = nu, nN, t + h, k + 1
+        yield k, t, h, u, N
 
 
 def flow_energy(report: EnergyReport, mode: str) -> float:
@@ -397,14 +430,16 @@ def flow_energy(report: EnergyReport, mode: str) -> float:
     return 0.5 * (report.grad_sq + 0.5 * report.N_L2**2)
 
 
-def _monitor(log: RunLog, grid: RadialGrid, phys: np.ndarray,
-             report: EnergyReport, energy: float, t: float, dt: float):
-    """Append one row from `_Propagator.check`'s (phys, report, flow
-    energy); only the local mass and the decay norm are integrated here."""
+def _monitor(log: RunLog, grid: RadialGrid, mode: str, u: np.ndarray,
+             phys: np.ndarray, t: float, dt: float):
+    """Append one row for a one-column state, spectral u and physical block
+    phys = [u, N], from its `energy_report` and `flow_energy`: no kernel
+    pass."""
+    report = energy_report(grid, u[:, 0], phys[:, 0], phys[:, 1])
     a_u = np.abs(phys[:, 0])
     log.times.append(t)
     log.mass.append(report.mass)
-    log.energy_Z.append(energy)
+    log.energy_Z.append(flow_energy(report, mode))
     log.grad_u.append(np.sqrt(report.grad_sq))
     log.N_L2.append(report.N_L2)
     log.u_L4.append(report.u4_4 ** 0.25)
@@ -420,25 +455,17 @@ def run(state0: ZakharovState, cfg: IntegratorConfig, t_end: float,
         stop_when=None) -> RunLog:
     """Step to t_end (or a blow-up trip), logging every monitor_every steps.
 
-    Adaptive mode controls dt by step doubling.  An attempt at step h is
-    one doubled `step_values` call: a paired Strang call takes
-    [u, u] / [N, N] by (h, h/2) to S_h and S_{h/2} (2 passes of 4
-    columns), and a one-column call takes the second half step, S_{h/2}^2
-    (2 passes of 2 columns); there is no check pass.
-    err = |S_h - S_{h/2}^2|_2 / 3 relative to the state
-    (`_richardson_error`) rejects the attempt above ERR_TOL, and either way
-    the next step is h times `_step_factor(err)`, so dt may grow past
-    cfg.dt, the initial step.  The accepted state is S_{h/2}^2, never the
-    extrapolation (which is not unitary).  A non-finite attempt halves the
-    step; blow-up trips when a step would fall below dt_floor or |grad u|
-    exceeds the configured ceiling (past GRAD_GROWTH_FACTOR times its
-    initial value it logs grad_growth_5x).  The log counts attempts and
-    rejections and keeps the largest accepted err.  A monitor or store
-    instant costs one backward pass, which the monitor row's
-    `_Propagator.check` reads.  Stepping errors become events, never raise.
-    `stop_when(log) -> bool`, checked at monitor instants, allows early exit
-    (verdict already established).  With store_every > 0, u and N at t0 and
-    every store_every accepted steps are kept as physical columns and stacked
+    The steps come from `_accepted_steps`, which counts them on the log.
+    Blow-up trips when the stepper raises BlowupError (non-finite values,
+    or a step below dt_floor) or |grad u| exceeds the configured ceiling
+    (past GRAD_GROWTH_FACTOR times its initial value it logs
+    grad_growth_5x);
+    stepping errors become events, never raise, but a t_end that is not
+    finite or not past the initial time is a ValueError.  A monitor or
+    store instant costs one backward pass.  `stop_when(log) -> bool`,
+    checked at monitor instants, allows early exit (verdict already
+    established).  With store_every > 0, u and N at t0 and every
+    store_every accepted steps are kept as physical columns and stacked
     once, at the end, into the (n, S) blocks log.traj_u and log.traj_N.
     """
     if t_end <= state0.t:
@@ -449,65 +476,40 @@ def run(state0: ZakharovState, cfg: IntegratorConfig, t_end: float,
                  err_max=0.0 if cfg.adaptive else None)
     u, N = prop.load(state0.u.values, state0.N.values)
     t = state0.t
-    dt = cfg.dt
 
     # phys: the physical block [u, N] of the accepted state, None if unknown
     phys = np.column_stack([state0.u.values, state0.N.values])
-    _monitor(log, grid, *prop.check(u, phys), t, dt)
+    _monitor(log, grid, cfg.mode, u, phys, t, cfg.dt)
     grad_ceiling = cfg.grad_ceiling_factor * max(log.grad_u[0], 1e-12)
 
     store = cfg.store_every > 0
     if store:            # physical columns of u and N at the store instants
         times_s, cols_u, cols_N = [t], [phys[:, 0]], [phys[:, 1]]
 
-    k = 0
-    while t < t_end - 1e-12:
-        h = min(dt, t_end - t)
-        log.attempts += 1
-        if cfg.adaptive:
-            nu, nN, err = prop.step_values(u, N, h, doubled=True)
-            finite = np.isfinite(err)
-        else:
-            nu, nN = prop.step_values(u, N, h)
-            finite = np.isfinite(nu).all() and np.isfinite(nN).all()
-        if not finite:
-            log.rejected += 1
-            if cfg.adaptive and h / 2.0 >= cfg.dt_floor:
-                dt = h / 2.0
-                continue
-            log.add_event(t, "blowup", "non-finite values")
-            break
-        if cfg.adaptive:
-            dt = h * _step_factor(err)
-            if err > ERR_TOL:
-                log.rejected += 1
-                if dt < cfg.dt_floor:
-                    log.add_event(t, "blowup", "dt underflow")
+    try:
+        for k, t, h, u, N in _accepted_steps(prop, u, N, t, t_end, log):
+            store_now = store and k % cfg.store_every == 0
+            monitor_now = k % cfg.monitor_every == 0 or t >= t_end - 1e-12
+            phys = prop.physical(u, N) if monitor_now or store_now else None
+            if store_now:
+                times_s.append(t)
+                cols_u.append(phys[:, 0])
+                cols_N.append(phys[:, 1])
+            if monitor_now:
+                _monitor(log, grid, cfg.mode, u, phys, t, h)
+                if log.grad_u[-1] > grad_ceiling:
+                    log.add_event(t, "blowup",
+                                  f"grad ceiling {grad_ceiling:.3g} exceeded")
                     break
-                continue
-            log.err_max = max(log.err_max, err)
-        u, N, t = nu, nN, t + h
-        k += 1
-        store_now = store and k % cfg.store_every == 0
-        monitor_now = k % cfg.monitor_every == 0 or t >= t_end - 1e-12
-        phys = prop.physical(u, N) if monitor_now or store_now else None
-        if store_now:
-            times_s.append(t)
-            cols_u.append(phys[:, 0])
-            cols_N.append(phys[:, 1])
-        if monitor_now:
-            _monitor(log, grid, *prop.check(u, phys), t, h)
-            if log.grad_u[-1] > grad_ceiling:
-                log.add_event(t, "blowup",
-                              f"grad ceiling {grad_ceiling:.3g} exceeded")
-                break
-            if log.grad_u[-1] > GRAD_GROWTH_FACTOR * log.grad_u[0]:
-                if not log.has_event("grad_growth_5x"):
-                    log.add_event(t, "grad_growth_5x",
-                                  f"grad {log.grad_u[-1]:.3g}")
-            if stop_when is not None and stop_when(log):
-                log.add_event(t, "early_exit", "stop condition met")
-                break
+                if log.grad_u[-1] > GRAD_GROWTH_FACTOR * log.grad_u[0]:
+                    if not log.has_event("grad_growth_5x"):
+                        log.add_event(t, "grad_growth_5x",
+                                      f"grad {log.grad_u[-1]:.3g}")
+                if stop_when is not None and stop_when(log):
+                    log.add_event(t, "early_exit", "stop condition met")
+                    break
+    except BlowupError as err:
+        log.add_event(err.t, "blowup", err.reason)
 
     if store:
         log.traj_u = TrajectorySamples(grid, times_s, np.column_stack(cols_u),
@@ -516,7 +518,8 @@ def run(state0: ZakharovState, cfg: IntegratorConfig, t_end: float,
                                        "N")
     if phys is None:
         phys = prop.physical(u, N)
-    log.final_state = _state(grid, phys, t)
+    log.final_state = ZakharovState(RadialField(grid, phys[:, 0].copy()),
+                                    RadialField(grid, phys[:, 1].copy()), t)
     return log
 
 
@@ -619,11 +622,12 @@ def strichartz_probe(grid: RadialGrid, family: dict, delta: float,
     (i d/dt - Lap - Re V) u = 0 with V carried by the free wave flow
     (linear_potential mode), and reports the worst ratio at each horizon.
 
-    The members step together as the u columns of one state that shares
-    the V column.  Every PROBE_STORE_EVERY steps (and at t = 0) one batched
-    synthesis pass gives each member's X^delta profile; each horizon T is
-    reduced from the samples at t <= T.  A non-finite state at a sample
-    raises BlowupError.
+    The members step together, by `_accepted_steps`, as the u columns of
+    one state that shares the V column.  At t = 0 and at every store
+    instant (each PROBE_STORE_EVERY-th step, the rule of `run`), one
+    batched synthesis pass gives each member's X^delta profile; each
+    horizon T is reduced from the samples at t <= T.  A non-finite step
+    raises BlowupError, and a horizon that is not finite a ValueError.
     """
     horizons = np.sort(np.asarray(horizons, dtype=float))
     t_end = float(horizons[-1])
@@ -634,27 +638,21 @@ def strichartz_probe(grid: RadialGrid, family: dict, delta: float,
     V0 = potential_from_family(grid, family, rng)
     members = [band_limited_unit_field(grid, rng).values
                for _ in range(ensemble_size)]
-    prop = _Propagator(grid, IntegratorConfig(dt=dt, mode=LINEAR_POTENTIAL))
+    prop = _Propagator(grid, IntegratorConfig(
+        dt=dt, mode=LINEAR_POTENTIAL, store_every=PROBE_STORE_EVERY))
     u, V = prop.load(np.column_stack(members), V0.values)
 
-    # t accumulates step by step exactly as in run(), so each horizon keeps
-    # the same samples as a restriction of run()'s stored trajectory
-    t, k = 0.0, 0
+    # the samples are those run() stores, so each horizon keeps a
+    # restriction of run()'s stored trajectory
+    stored = ((t, u) for k, t, _, u, _ in
+              _accepted_steps(prop, u, V, 0.0, t_end, RunLog())
+              if k % prop.cfg.store_every == 0)
     times, besov, block_l2 = [], [], []
-    while True:
-        if k % PROBE_STORE_EVERY == 0:
-            if not np.all(np.isfinite(u)):
-                raise BlowupError(f"non-finite probe state at t={t:g}")
-            terms, l2 = dyadic_profile(u, grid, s, p)
-            times.append(t)
-            besov.append(np.sqrt(np.sum(terms**2, axis=1)))
-            block_l2.append(l2)
-        if t >= t_end - 1e-12:
-            break
-        dt_step = min(dt, t_end - t)
-        u, V = prop.step_values(u, V, dt_step)
-        t += dt_step
-        k += 1
+    for t, u in chain([(0.0, u)], stored):
+        terms, l2 = dyadic_profile(u, grid, s, p)
+        times.append(t)
+        besov.append(np.sqrt(np.sum(terms**2, axis=1)))
+        block_l2.append(l2)
 
     times = np.array(times)
     besov, block_l2 = np.array(besov), np.array(block_l2)

@@ -16,6 +16,7 @@ from zakharov4d.grid import (
 from zakharov4d.dyadic import spacetime_norm_X
 from zakharov4d.dynamics import (
     BLOWUP_LIKE,
+    BlowupError,
     CSV_COLUMNS,
     ERR_TOL,
     FREE,
@@ -24,16 +25,17 @@ from zakharov4d.dynamics import (
     IntegratorConfig,
     LINEAR_POTENTIAL,
     R_LOCAL,
+    RunLog,
     SCATTERING_LIKE,
     S_DECAY,
     ZakharovState,
     _Propagator,
+    _accepted_steps,
     band_limited_unit_field,
     decompose_N,
     potential_from_family,
     run,
     scattering_diagnostics,
-    step,
     strichartz_probe,
 )
 from zakharov4d.normal_form import AngularQuadrature, omega_tilde
@@ -52,13 +54,25 @@ def gaussian_state(grid, au=0.4, aN=0.3, wu=1.4, wN=1.8):
     return ZakharovState(u, N, 0.0)
 
 
+def strang_steps(state, cfg, dts):
+    """state after one Strang step by each of dts, on the propagator's
+    kernel: loaded once, stepped spectrally, brought back once."""
+    g = state.grid
+    prop = _Propagator(g, cfg)
+    u, N = prop.load(state.u.values, state.N.values)
+    for dt in dts:
+        u, N = prop.step_values(u, N, dt)
+    phys = prop.physical(u, N)
+    return ZakharovState(RadialField(g, phys[:, 0].copy()),
+                         RadialField(g, phys[:, 1].copy()),
+                         state.t + sum(dts))
+
+
 class TestStep:
     def test_free_mode_matches_one_shot(self, grid_small):
         state = gaussian_state(grid_small)
         cfg = IntegratorConfig(dt=0.05, mode=FREE)
-        s = state
-        for _ in range(20):
-            s = step(s, cfg)
+        s = strang_steps(state, cfg, [cfg.dt] * 20)
         exact_u = apply_multiplier(state.u,
                                    np.exp(1.0j * grid_small.rho_nodes**2))
         exact_N = apply_multiplier(state.N,
@@ -71,9 +85,7 @@ class TestStep:
         state = gaussian_state(grid_small)
         cfg = IntegratorConfig(dt=5e-4, mode=FULL)
         m0 = lp_norm(state.u, 2) ** 2
-        s = state
-        for _ in range(2000):
-            s = step(s, cfg)
+        s = strang_steps(state, cfg, [cfg.dt] * 2000)
         m = lp_norm(s.u, 2) ** 2
         assert abs(m - m0) / m0 < 1e-11
 
@@ -82,19 +94,13 @@ class TestStep:
             state = gaussian_state(grid_small)
             cfg = IntegratorConfig(dt=1e-3, mode=mode)
             n0 = lp_norm(state.N, 2)
-            s = state
-            for _ in range(200):
-                s = step(s, cfg)
+            s = strang_steps(state, cfg, [cfg.dt] * 200)
             assert abs(lp_norm(s.N, 2) - n0) / n0 < 1e-11
 
     def test_reversibility_free(self, grid_small):
         state = gaussian_state(grid_small)
         cfg = IntegratorConfig(dt=0.02, mode=FREE)
-        s = state
-        for _ in range(50):
-            s = step(s, cfg)
-        for _ in range(50):
-            s = step(s, cfg, dt=-0.02)
+        s = strang_steps(state, cfg, [0.02] * 50 + [-0.02] * 50)
         assert lp_norm(s.u - state.u, 2) / lp_norm(state.u, 2) < 1e-10
         assert lp_norm(s.N - state.N, 2) / lp_norm(state.N, 2) < 1e-10
 
@@ -103,11 +109,7 @@ class TestStep:
         # step with -dt undoes a step with dt
         state = gaussian_state(grid_small)
         cfg = IntegratorConfig(dt=0.02, mode=LINEAR_POTENTIAL, sponge=True)
-        s = state
-        for _ in range(20):
-            s = step(s, cfg)
-        for _ in range(20):
-            s = step(s, cfg, dt=-0.02)
+        s = strang_steps(state, cfg, [0.02] * 20 + [-0.02] * 20)
         assert lp_norm(s.u - state.u, 2) / lp_norm(state.u, 2) < 1e-10
         assert lp_norm(s.N - state.N, 2) / lp_norm(state.N, 2) < 1e-10
 
@@ -210,10 +212,11 @@ class TestStepBuffers:
             for block in prop._blocks.values():
                 assert not np.shares_memory(out, block)
 
-    def feeds_back(self, grid, monkeypatch, adaptive):
+    def feeds_back(self, monkeypatch, go, doubled=False):
         # an accepted step's u is the next call's input object (the traced
         # benchmark counts accepted steps by this identity, and its attempts
-        # by the calls: one per attempt, a doubled step when adaptive)
+        # by the calls: one per attempt, a doubled step when adaptive).
+        # Returns the number of calls and go()'s result
         calls = []
         original = _Propagator.step_values
 
@@ -223,21 +226,34 @@ class TestStepBuffers:
             return out
 
         monkeypatch.setattr(_Propagator, "step_values", recorded)
-        log = run(gaussian_state(grid),
-                  IntegratorConfig(dt=1e-2, mode=FULL, monitor_every=3,
-                                   adaptive=adaptive), 0.1)
-        assert log.rejected == 0 and len(calls) == log.attempts
+        result = go()
         for (_, previous, _), (u_in, _, kwargs) in zip(calls, calls[1:]):
             assert u_in is previous
-            assert kwargs == ({"doubled": True} if adaptive else {})
+            assert kwargs == ({"doubled": True} if doubled else {})
+        return len(calls), result
+
+    def run_feeds_back(self, grid, monkeypatch, adaptive):
+        calls, log = self.feeds_back(monkeypatch, lambda: run(
+            gaussian_state(grid),
+            IntegratorConfig(dt=1e-2, mode=FULL, monitor_every=3,
+                             adaptive=adaptive), 0.1), adaptive)
+        assert log.rejected == 0 and calls == log.attempts
         return log
 
     def test_run_feeds_each_output_back(self, grid_small, monkeypatch):
-        assert self.feeds_back(grid_small, monkeypatch, False).attempts == 10
+        assert self.run_feeds_back(grid_small, monkeypatch,
+                                   False).attempts == 10
 
     def test_adaptive_run_feeds_each_output_back(self, grid_small,
                                                  monkeypatch):
-        self.feeds_back(grid_small, monkeypatch, True)
+        self.run_feeds_back(grid_small, monkeypatch, True)
+
+    def test_probe_feeds_each_output_back(self, grid_small, monkeypatch):
+        # one fixed step per call, 12 steps to the last horizon
+        calls, est = self.feeds_back(monkeypatch, lambda: strichartz_probe(
+            grid_small, {"kind": "gaussian_mass", "mass": 1.0}, 0.0, 2,
+            [0.3, 0.6], np.random.default_rng(2), dt=0.05))
+        assert calls == 12 and est.max_ratio.shape == (2,)
 
 
 class TestRun:
@@ -360,6 +376,37 @@ class TestRun:
         assert max(log.dt_hist[1:]) < 0.5
         fixed = run(state, IntegratorConfig(dt=2.0**-4, mode=FULL), 0.5)
         assert (fixed.attempts, fixed.rejected, fixed.err_max) == (8, 0, None)
+
+    @pytest.mark.parametrize("t_end", [np.nan, np.inf])
+    def test_rejects_non_finite_t_end(self, grid_small, t_end):
+        # a NaN horizon used to log one row and stop, an infinite one to
+        # step until blow-up
+        with pytest.raises(ValueError, match=f"t_end {t_end} is not finite"):
+            run(gaussian_state(grid_small), IntegratorConfig(dt=0.1), t_end)
+
+    def test_stepper_raises_blowup_with_time_and_reason(self, grid_small):
+        # a non-finite fixed step, and an adaptive step pushed below its
+        # floor, stop the stepper after the last accepted time
+        g = grid_small
+        state = gaussian_state(g, au=0.8, aN=0.6)
+        for cfg, reason in (
+                (IntegratorConfig(dt=0.1), "non-finite values"),
+                (IntegratorConfig(dt=0.5, adaptive=True, dt_floor=0.3),
+                 "dt underflow")):
+            prop = _Propagator(g, cfg)
+            u, N = prop.load(state.u.values, state.N.values)
+            if not cfg.adaptive:
+                u[3] = np.nan
+            log = RunLog(err_max=0.0)
+            with pytest.raises(BlowupError) as info:
+                list(_accepted_steps(prop, u, N, 0.25, 2.0, log))
+            assert (info.value.t, info.value.reason) == (0.25, reason)
+            assert log.attempts == log.rejected == 1
+        log = run(state, IntegratorConfig(dt=0.5, adaptive=True,
+                                          dt_floor=0.3), 2.0)
+        assert log.events == [{"t": 0.0, "kind": "blowup",
+                               "detail": "dt underflow"}]
+        assert len(log.times) == 1 and log.final_state.t == 0.0
 
     def test_early_exit_hook(self, grid_small):
         state = gaussian_state(grid_small)
@@ -573,6 +620,13 @@ class TestStrichartzProbe:
         with pytest.raises(ValueError, match=r"horizons \[-1\.0, 2\.0\]"):
             strichartz_probe(grid_small, {"kind": "zero"}, 0.0, 1,
                              [-1.0, 2.0], np.random.default_rng(0), dt=0.05)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_horizon(self, grid_small, bad):
+        # NaN sorts last and t >= NaN never holds: this used to loop forever
+        with pytest.raises(ValueError, match=f"t_end {bad} is not finite"):
+            strichartz_probe(grid_small, {"kind": "zero"}, 0.0, 1,
+                             [1.0, bad], np.random.default_rng(0))
 
     def test_matches_per_member_reference(self, grid_small):
         family = {"kind": "gaussian_mass", "mass": 2.0, "width": 2.0}

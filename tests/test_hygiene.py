@@ -1,4 +1,5 @@
-"""Source hygiene: every imported name is used where it is imported.
+"""Source hygiene: every imported name is used where it is imported, and
+one function in the package calls the stepping kernel.
 
 A stdlib ``ast`` scan of the package, the tests, the scripts and the
 benchmark (read only).  An import counts as
@@ -82,3 +83,21 @@ def test_package_reexports_are_traced(path):
              for node, bound, kept, _ in _imports(path)
              if kept and (path.stem, bound) not in traced]
     assert stale == []
+
+
+def test_one_stepper_calls_the_kernel():
+    # every attempt goes through one loop, so one function in the package
+    # calls `_Propagator.step_values`: the stepper that run and the probe
+    # consume
+    callers = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if any(isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "step_values"
+                   for node in _own_nodes(fn)):
+                callers.append(f"{path.name}:{fn.name}")
+    assert callers == ["dynamics.py:_accepted_steps"]

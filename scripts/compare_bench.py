@@ -19,8 +19,10 @@ at each n of ``SWEEP_N``; one ``dynamics.decompose_N`` of a 21-sample run;
 one ``virial.rate_check`` of a stored full-mode run (with its count of
 kernel passes) at each n of ``VIRIAL_N``; one adaptive full-mode
 ``dynamics.run`` of fixed length (with its count of kernel passes) at each
-n of ``STEP_N``; and one cold ``RadialGrid`` with its three
-finite-difference matrices at each n of ``SWEEP_N``.  Writes every run,
+n of ``STEP_N``; one cold ``RadialGrid`` with its three
+finite-difference matrices at each n of ``SWEEP_N``; and one
+``dyadic.dyadic_profile`` of eight spectral columns (with its count of
+kernel passes) at each n of ``SWEEP_N``.  Writes every run,
 the per-side medians and quartiles, the pair wins, every sweep round with
 each side's best and the head's round wins, and the host description as
 one JSON file.
@@ -57,12 +59,14 @@ SWEEP_ROUNDS = 5
 # the truncated W, r_max 40) from dt = 0.1 to t = 2.4, short of the
 # gradient trip (kernel passes compare across step controllers;
 # step_values calls need not); per n of the first list one cold
-# RadialGrid(n, 40) and its three FD matrices.  Every point prints as
+# RadialGrid(n, 40) and its three FD matrices, and one dyadic_profile of
+# (n, 8) complex normal spectral columns on make_grid(n, 40) at the probe's
+# exponents (delta 0.2).  Every point prints as
 # {"seconds": {side: [one time per round]}} plus, where counted,
 # {count: {side: calls per call}}; the whole is
 # {"normal_form": {n: {kind, "normal_transform", "round_trip"}},
-# "decompose_N", "rate_check": {n}, "step_sweep": {n}, "build_sweep": {n}}
-# as JSON.
+# "decompose_N", "rate_check": {n}, "step_sweep": {n}, "build_sweep": {n},
+# "dyadic_sweep": {n}} as JSON.
 SWEEP_CODE = """
 import importlib, importlib.util, json, sys, time
 import numpy as np
@@ -77,7 +81,8 @@ def load(side, src):
     sys.modules[name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sys.modules[name])
     m = {k: importlib.import_module(name + "." + k) for k in
-         ("dynamics", "grid", "normal_form", "variational", "virial")}
+         ("dyadic", "dynamics", "grid", "normal_form", "variational",
+          "virial")}
     corrections = m["normal_form"]._corrections
     def counted(*args):
         counts[side]["corrections_calls"] += 1
@@ -162,6 +167,13 @@ def build_call(m, n):
         g.second_derivative_matrix()
         g.wide_derivative_matrix()
     return build
+def dyadic_call(m, n):
+    dyadic = m["dyadic"]
+    g = m["grid"].make_grid(n, 40.0)
+    rng = np.random.default_rng(n)
+    spec = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
+    s, p = dyadic.xdelta_exponents(0.2)
+    return lambda: dyadic.dyadic_profile(spec, g, s, p)
 out = {"normal_form": {}}
 for n in json.loads(sys.argv[3]):
     calls = {s: nf_calls(m, n) for s, m in pkgs.items()}
@@ -180,6 +192,10 @@ out["step_sweep"] = {
     for n in json.loads(sys.argv[5])}
 out["build_sweep"] = {
     n: alternate({s: build_call(m, n) for s, m in pkgs.items()})
+    for n in json.loads(sys.argv[3])}
+out["dyadic_sweep"] = {
+    n: alternate({s: dyadic_call(m, n) for s, m in pkgs.items()},
+                 "kernel_passes")
     for n in json.loads(sys.argv[3])}
 print(json.dumps(out))
 """
@@ -337,7 +353,9 @@ def main(argv=None) -> int:
                                 "(1.3 times the truncated W, r_max 40) "
                                 "from dt 0.1 to t 2.4; build_sweep: one "
                                 "cold RadialGrid(n, 40) and its three FD "
-                                "matrices",
+                                "matrices; dyadic_sweep: one dyadic_profile "
+                                "of (n, 8) complex normal spectral columns "
+                                "on make_grid(n, 40), delta 0.2",
                         "order": f"one process holds both sides; each "
                                  f"point runs {SWEEP_ROUNDS} rounds, base "
                                  f"first in even rounds and head first in "

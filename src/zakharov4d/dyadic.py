@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -93,10 +94,7 @@ def besov_norm(f: RadialField, s: float, p: float, q: float) -> float:
 
     (sum_j (j^s |P_j f|_p)^q)^{1/q}, with q = inf taking the sup.
     """
-    if not (p >= 1 and q >= 1):   # refuses NaN too
-        raise ValueError(f"Besov exponents need p, q >= 1, got p={p}, q={q}")
-    spec = to_spectral(f)
-    return besov_from_spectrum(spec.values, f.grid, s, p, q)
+    return besov_from_spectrum(to_spectral(f).values, f.grid, s, p, q)
 
 
 # -- frequency weight ---------------------------------------------------------
@@ -265,50 +263,53 @@ def xdelta_from_profile(times: np.ndarray, besov: np.ndarray,
     return np.maximum(_l2_time(times, besov), sup)
 
 
-# Complex entries of one synthesis pass's (n, columns x blocks) block; longer
-# column sets are split into passes of this size (4 MB).
-SYNTHESIS_ENTRIES = 1 << 18
+@lru_cache(maxsize=8)
+def _block_table(grid: RadialGrid) -> tuple:
+    """(js, runs): the blocks js of dyadic_blocks(grid) whose cutoff meets
+    the grid, and per block (rows, cut): chi0(rho/j) is nonzero on the
+    slice rows only, with values cut (rows, 1) there."""
+    js = dyadic_blocks(grid)
+    cuts = chi0(grid.rho_nodes / js[:, None])
+    live = np.any(cuts, axis=1)
+    js, cuts = js[live], cuts[live]
+    js.setflags(write=False)
+    cuts.setflags(write=False)
+    rows = [slice(nz[0], nz[-1] + 1) for nz in map(np.flatnonzero, cuts)]
+    return js, tuple((r, cut[r, None]) for r, cut in zip(rows, cuts))
 
 
 def dyadic_profile(spec: np.ndarray, grid: RadialGrid, s: float,
                    p: float) -> tuple:
-    """Dyadic profile of the spectral columns spec (n, m).
+    """Dyadic profile of the spectral columns spec (n, m), for p >= 1.
 
     Returns (terms, block_l2), both (m, B) over the B blocks of
     dyadic_blocks(grid) whose cutoff meets the grid: terms[k, b] =
-    j_b^s |P_{j_b} f_k|_p from one kernel pass over all columns x blocks
-    (split when larger than SYNTHESIS_ENTRIES), and block_l2[k, b] =
-    |P_{j_b} f_k|_2 by Plancherel.
+    j_b^s |P_{j_b} f_k|_p and block_l2[k, b] = |P_{j_b} f_k|_2 by
+    Plancherel.  Each block is synthesised from its own rows (the support
+    of chi0(rho/j_b)) through M's columns on those rows alone; the roots
+    and the weights j_b^s are taken once, over the whole (m, B) result.
     """
+    if not p >= 1:   # refuses NaN too
+        raise ValueError(f"Lebesgue exponent needs p >= 1, got p={p}")
     spec = spec.reshape(grid.n, -1)
     if not np.all(np.isfinite(spec)):
         raise GridError("dyadic synthesis of non-finite values")
-    blocks = dyadic_blocks(grid)
-    cuts = chi0(grid.rho_nodes[:, None] / blocks[None, :])
-    live = np.any(cuts, axis=0)
-    cuts, js = cuts[:, live], blocks[live]
-    m, nb = spec.shape[1], len(js)
-    terms = np.zeros((m, nb))
-    block_l2 = np.zeros((m, nb))
-    if not nb:
-        return terms, block_l2
-    chunk = max(1, SYNTHESIS_ENTRIES // (grid.n * nb))
-    for lo in range(0, m, chunk):
-        pieces = (spec[:, lo:lo + chunk, None]
-                  * cuts[:, None, :]).reshape(grid.n, -1)
-        block_l2[lo:lo + chunk] = np.sqrt(
-            grid.spectral_integral(np.abs(pieces) ** 2)).reshape(-1, nb)
-        a = np.abs(grid.to_physical_values(pieces))
-        if np.isinf(p):
-            norms = a.max(axis=0, initial=0.0)
-        else:
-            norms = grid.integral(a**p) ** (1.0 / p)
-        terms[lo:lo + chunk] = js**s * norms.reshape(-1, nb)
-    return terms, block_l2
+    js, runs = _block_table(grid)
+    reduced, block_l2 = np.zeros((2, spec.shape[1], len(js)))
+    for b, (rows, cut) in enumerate(runs):
+        piece = spec[rows] * cut
+        block_l2[:, b] = grid.spectral_integral(np.abs(piece)**2, rows)
+        a = np.abs(grid.rows_to_physical(piece, rows))
+        reduced[:, b] = a.max(axis=0) if np.isinf(p) else grid.integral(a**p)
+    norms = reduced if np.isinf(p) else reduced ** (1 / p)
+    return js**s * norms, np.sqrt(block_l2)
 
 
 def besov_from_spectrum(spec_values: np.ndarray, grid: RadialGrid, s: float,
                         p: float, q: float) -> float:
+    if np.shape(spec_values) != (grid.n,) or not q >= 1:  # refuses NaN q
+        raise ValueError(f"Besov norm of one ({grid.n},) column with q >= 1, "
+                         f"got shape {np.shape(spec_values)}, q={q}")
     t = dyadic_profile(spec_values, grid, s, p)[0][0]
     if np.isinf(q):
         return float(t.max(initial=0.0))

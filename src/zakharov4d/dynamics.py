@@ -624,8 +624,9 @@ def strichartz_probe(grid: RadialGrid, family: dict, delta: float,
 
     The members step together, by `_accepted_steps`, as the u columns of
     one state that shares the V column.  At t = 0 and at every store
-    instant (each PROBE_STORE_EVERY-th step, the rule of `run`), one
-    batched synthesis pass gives each member's X^delta profile; each
+    instant (each PROBE_STORE_EVERY-th step, the rule of `run`),
+    `dyadic_profile` gives every member's X^delta profile, each dyadic
+    block synthesised from its own rows for all members at once; each
     horizon T is reduced from the samples at t <= T.  A non-finite step
     raises BlowupError, and a horizon that is not finite a ValueError.
     """

@@ -156,11 +156,12 @@ class RadialGrid:
         (n, S) -> (S,); a block equals its one-column calls bit for bit."""
         return SPHERE_S3 * _column_sums(self.quad_weights_r, values)
 
-    def spectral_integral(self, values: np.ndarray):
+    def spectral_integral(self, values: np.ndarray, rows: slice = slice(None)):
         """`integral` of samples at the rho nodes times (2 pi)^{-4}, so that
-        |F f|^2 gives |f|_2^2 (Plancherel)."""
+        |F f|^2 gives |f|_2^2 (Plancherel).  Given a slice `rows`, values
+        holds only those rows of samples that vanish off them."""
         return (SPHERE_S3 * FOURIER_NORM ** -2
-                * _column_sums(self.quad_weights_rho, values))
+                * _column_sums(self.quad_weights_rho[rows], values))
 
     def gradient_sq(self, spec: np.ndarray):
         """|grad f|_2^2 = spectral_integral(rho^2 |f_hat|^2) of spectral
@@ -189,6 +190,15 @@ class RadialGrid:
 
     def to_physical_values(self, values: np.ndarray) -> np.ndarray:
         return self._kernel_apply(values) / self._spectral_scale
+
+    def rows_to_physical(self, block: np.ndarray, rows: slice) -> np.ndarray:
+        """to_physical_values of spectral columns that vanish off the slice
+        rows, given as their (rows, m) block: only M's columns rows enter,
+        and the real and imaginary parts of the product are divided by c."""
+        cols = np.ascontiguousarray(block, np.complex128)
+        out = self.transform_kernel[:, rows] @ cols.view(np.float64)
+        out /= self._spectral_scale
+        return out.view(np.complex128)
 
     # -- radial derivative --------------------------------------------------
 

@@ -4,9 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from zakharov4d.grid import (
     RadialField,
+    RadialGrid,
     SPECTRAL,
     field,
     lp_norm,
+    make_grid,
     to_spectral,
     transform,
     zero_field,
@@ -15,6 +17,8 @@ from zakharov4d.dyadic import (
     DELTA_STAR,
     SeparationError,
     TrajectorySamples,
+    _block_table,
+    besov_from_spectrum,
     besov_norm,
     build_weight,
     bump_profile,
@@ -22,9 +26,11 @@ from zakharov4d.dyadic import (
     chi_partition_sum,
     coverage_defect,
     dyadic_blocks,
+    dyadic_profile,
     lp_project,
     spacetime_norm_X,
     weight_multiplier,
+    xdelta_exponents,
 )
 
 
@@ -154,6 +160,115 @@ class TestBesov:
     def test_rejects_nan_exponents(self, grid_small, p, q):
         with pytest.raises(ValueError):
             besov_norm(zero_field(grid_small), 0.5, p, q)
+
+
+def dense_profile(spec, grid, s, p):
+    """Reference profile: every live block's cut on all n rows, and one
+    to_physical_values pass over the columns x blocks."""
+    spec = spec.reshape(grid.n, -1)
+    js = dyadic_blocks(grid)
+    cuts = chi0(grid.rho_nodes[:, None] / js[None, :])
+    live = np.any(cuts, axis=0)
+    cuts, js = cuts[:, live], js[live]
+    m, nb = spec.shape[1], len(js)
+    pieces = (spec[:, :, None] * cuts[:, None, :]).reshape(grid.n, -1)
+    block_l2 = np.sqrt(grid.spectral_integral(np.abs(pieces) ** 2))
+    a = np.abs(grid.to_physical_values(pieces))
+    norms = (a.max(axis=0) if np.isinf(p)
+             else grid.integral(a**p) ** (1.0 / p))
+    return js**s * norms.reshape(m, nb), block_l2.reshape(m, nb)
+
+
+class TestSynthesis:
+    GRIDS = [(64, 40.0), (65, 40.0), (129, 40.0), (512, 40.0), (128, 30.0),
+             (64, 3.0)]
+
+    @pytest.mark.parametrize("n", [64, 65, 129, 512])
+    @pytest.mark.parametrize("m", [1, 8])
+    @pytest.mark.parametrize("delta, dual, p_inf", [
+        (0.2, False, False), (0.2, True, False), (0.0, False, True)])
+    def test_matches_dense_formula(self, n, m, delta, dual, p_inf):
+        # each block synthesised from its own rows gives the dense pass's
+        # terms to roundoff; block_l2 is the Plancherel sum of the block
+        g = make_grid(n, 40.0)
+        rng = np.random.default_rng(n + m)
+        spec = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        s, p = xdelta_exponents(delta, dual)
+        p = np.inf if p_inf else p
+        terms, block_l2 = dyadic_profile(spec, g, s, p)
+        ref_terms, ref_l2 = dense_profile(spec, g, s, p)
+        assert terms.shape == block_l2.shape == ref_terms.shape
+        # the r_max = 40 grids start with a one-row block
+        assert min(r.stop - r.start for r, _ in _block_table(g)[1]) == 1
+        np.testing.assert_allclose(terms, ref_terms, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(block_l2, ref_l2, rtol=1e-14, atol=0)
+        for b, j in enumerate(_block_table(g)[0]):
+            plancherel = np.sqrt(g.spectral_integral(
+                np.abs(spec * chi0(g.rho_nodes / j)[:, None]) ** 2))
+            np.testing.assert_allclose(block_l2[:, b], plancherel,
+                                       rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("n, r_max", GRIDS)
+    def test_block_runs_are_cutoff_support(self, n, r_max):
+        g = make_grid(n, r_max)
+        table = js, runs = _block_table(g)
+        live = [j for j in dyadic_blocks(g) if np.any(chi0(g.rho_nodes / j))]
+        assert js.tolist() == live and len(runs) == len(live)
+        for j, (rows, cut) in zip(js, runs):
+            full = chi0(g.rho_nodes / j)
+            assert np.array_equal(np.flatnonzero(full),
+                                  np.arange(rows.start, rows.stop))
+            assert np.array_equal(cut[:, 0], full[rows])
+        # built once per grid: an equal grid reads the same table
+        assert _block_table(RadialGrid(n, r_max)) is table
+
+    def test_no_kernel_apply(self, grid_medium, monkeypatch):
+        # the profile synthesises block by block from row runs; the space-
+        # time norm's one pass is the transform of its sample block
+        g, rng = grid_medium, np.random.default_rng(5)
+        calls = {"_kernel_apply": 0, "rows_to_physical": 0}
+        for name in calls:
+            original = getattr(RadialGrid, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(RadialGrid, name, counted)
+        spec = rng.standard_normal((g.n, 8)) + 0j
+        dyadic_profile(spec, g, 0.2, 3.0)
+        assert calls == {"_kernel_apply": 0,
+                         "rows_to_physical": len(_block_table(g)[0])}
+        traj = TrajectorySamples(g, [0.0, 1.0],
+                                 g.to_physical_values(spec[:, :2]))
+        calls.update(_kernel_apply=0, rows_to_physical=0)
+        spacetime_norm_X(traj, 0.2)
+        assert calls["_kernel_apply"] == 1
+
+    @pytest.mark.parametrize("p", [0.5, 0.0, -1.0, np.nan])
+    def test_rejects_p_below_one(self, grid_small, p):
+        spec = np.ones(grid_small.n, dtype=complex)
+        with pytest.raises(ValueError, match="p >= 1"):
+            dyadic_profile(spec, grid_small, 0.0, p)
+        with pytest.raises(ValueError, match="p >= 1"):
+            besov_from_spectrum(spec, grid_small, 0.0, p, 2.0)
+
+    @pytest.mark.parametrize("q", [0.5, 0.0, np.nan])
+    def test_besov_rejects_q_below_one(self, grid_small, q):
+        spec = np.ones(grid_small.n, dtype=complex)
+        with pytest.raises(ValueError, match="q >= 1"):
+            besov_from_spectrum(spec, grid_small, 0.0, 2.0, q)
+
+    def test_besov_takes_one_column(self, grid_small, rng):
+        g = grid_small
+        f = band_limited(g, rng)
+        spec = to_spectral(f).values
+        assert besov_from_spectrum(spec, g, 0.3, 2.0, 2.0) == besov_norm(
+            f, 0.3, 2.0, 2.0)
+        assert besov_from_spectrum(spec, g, 0.3, np.inf, np.inf) > 0
+        for bad in (np.column_stack([spec] * 3), spec[:, None], spec[1:]):
+            with pytest.raises(ValueError, match="one"):
+                besov_from_spectrum(bad, g, 0.3, 2.0, 2.0)
 
 
 class TestWeight:

@@ -160,6 +160,23 @@ class TestTransform:
                     err = np.abs(cols[:, k] - ref).max() / np.abs(ref).max()
                     assert err < 1e-14
 
+    @pytest.mark.parametrize("lo, hi", [(0, 128), (0, 1), (37, 38),
+                                        (20, 83), (100, 128)])
+    def test_row_run_matches_padded_block(self, grid_small, lo, hi):
+        # spectral columns that vanish off rows lo:hi synthesise from M's
+        # columns lo:hi alone (dividing by c where to_physical_values
+        # multiplies by 1/c, so agreement is to roundoff, not bitwise)
+        g, rng = grid_small, np.random.default_rng(9)
+        run = rng.standard_normal((hi - lo, 4)) + 1j * rng.standard_normal(
+            (hi - lo, 4))
+        for block in (run, np.asfortranarray(run), run.real):
+            padded = np.zeros((g.n, 4), dtype=block.dtype)
+            padded[lo:hi] = block
+            ref = g.to_physical_values(padded)
+            out = g.rows_to_physical(block, slice(lo, hi))
+            assert out.shape == (g.n, 4) and out.dtype == complex
+            assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+
     def test_zero_field(self, grid_small):
         z = transform(zero_field(grid_small))
         assert np.all(z.values == 0)
@@ -286,6 +303,20 @@ class TestQuadrature:
                 assert np.array_equal(
                     out, [integrate(col) for col in values.T])
         assert isinstance(g.integral(block[:, 0]), float)
+
+    @pytest.mark.parametrize("rows", [slice(0, 1), slice(37, 38),
+                                      slice(20, 83), slice(0, 128)])
+    def test_row_run_integral(self, grid_small, rows):
+        # given a run, spectral_integral sums those rows' weights only: the
+        # integral of samples that vanish off the run
+        g, rng = grid_small, np.random.default_rng(10)
+        padded = np.zeros((g.n, 3))
+        padded[rows] = rng.standard_normal((rows.stop - rows.start, 3))
+        for values, full in ((padded[rows], padded),
+                             (padded[rows, 0], padded[:, 0])):
+            got, ref = g.spectral_integral(values, rows), g.spectral_integral(full)
+            assert np.shape(got) == np.shape(ref)
+            assert np.allclose(got, ref, rtol=1e-14, atol=0)
 
     def test_gaussian_integral(self, grid_medium):
         # integral over R^4 of e^{-r^2} is pi^2

@@ -15,11 +15,16 @@ cut the k side with the telescoped `dyadic.block_sum(rho, lo, hi)`.
 Kernels are evaluated by direct quadrature (grid nodes in |eta| times a
 Chebyshev rule in the angle), preserving radial exactness at O(n^2 n_theta)
 cost; only the angles where the cutoff on |xi - eta| can be nonzero are
-evaluated.  One evaluator, `_sweep`, takes a list of kernel terms and
-groups them by HL range (j, lo, hi): each group is one pass that builds
-tau = |xi - eta| with the cutoff on block j, the angle runs and one
-interpolation per distinct high-block spectrum, and each term adds only its
-denominator and weights.  Omega_tilde also pairs f's low blocks with g's
+evaluated.  Each chunk of output rows is one (angle, row, sigma) box with
+sigma innermost: np.interp walks its points in memory order and tries the
+last point's bracket first, and tau moves by about one node between
+neighbouring sigma nodes but by many between neighbouring angles.  The
+resonance check sets each denominator to 1 off the cutoff's support and
+takes one minimum of |den| over the box, with no gather.  One evaluator,
+`_sweep`, takes a list of kernel terms and groups them by HL range
+(j, lo, hi): each group is one pass that builds tau = |xi - eta| with the
+cutoff on block j, the angle runs and one interpolation per distinct
+high-block spectrum, and each term adds only its denominator and weights.  Omega_tilde also pairs f's low blocks with g's
 high block j; these mirrored pairs are read after eta -> xi - eta, so g is
 the factor interpolated at tau and f's lows sit on the sigma grid, and
 they join the direct group of the same range as one more term, with the
@@ -48,6 +53,7 @@ from .grid import (
     RadialField,
     RadialGrid,
     SPECTRAL,
+    _same_grid,
     lp_norm,
     op_D,
     to_physical,
@@ -90,7 +96,13 @@ class AngularQuadrature:
     n_theta: int = 64
 
     def __post_init__(self):
-        # no nodes would make every kernel exactly zero
+        # a count that is not an int (16.5, True, NaN) builds another
+        # number of nodes or fails only at first use; no nodes would make
+        # every kernel exactly zero
+        if (isinstance(self.n_theta, bool)
+                or not isinstance(self.n_theta, (int, np.integer))):
+            raise ValueError(
+                f"n_theta must be an integer, got {self.n_theta!r}")
         if self.n_theta < 1:
             raise ValueError(f"n_theta {self.n_theta} < 1")
 
@@ -246,7 +258,9 @@ def apply_bilinear(spec: BilinearKernelSpec, f: RadialField, g: RadialField,
     eta -> xi - eta so that g is the factor read at |xi - eta|.  This is
     _sweep on the kernel's terms; omega and the normal-form corrections
     hand _sweep several kernels at once so they share its geometry.
+    f and g must live on one grid (GridError otherwise).
     """
+    _same_grid(f, g)
     grid = f.grid
     fs, gs = to_spectral(f).values, to_spectral(g).values
     out_spec = np.zeros(grid.n, dtype=np.complex128)
@@ -302,6 +316,12 @@ def _sweep_side(grid, quad, hl_range, terms):
     vanishes off tau in (j/2, 2 j), so each chunk of output rows is
     evaluated only over the bounding box of its angle runs (see
     _angle_runs); every element left out has cut == 0.
+    The box is laid out (angle, row, sigma), sigma innermost, so that
+    np.interp, which tries the previous point's bracket first, finds it at
+    once: neighbouring sigma nodes move tau by about one node, while
+    neighbouring angles move it by many, which in a (row, sigma, angle)
+    layout sends nearly every point to a binary search.  The angular sum
+    contracts the leading axis.
     tau, the cutoff, the runs and one interpolation per distinct f
     spectrum are built once per chunk, and the terms on one spectrum run
     right after its interpolation, so one interpolated box is held at a
@@ -309,7 +329,11 @@ def _sweep_side(grid, quad, hl_range, terms):
     (spec, mirrored) key alone (tau and sigma swapped in the denominator
     for a mirrored term), so each key is divided once per chunk and the
     terms that share it, as the columns of omega_tilde_self_spectra do,
-    reuse its weights.
+    reuse its weights.  The off-support mask (cut == 0) is formed once per
+    chunk; each key's den is set to 1 there in place, so the KernelError
+    test is one minimum of |den| over the whole box, with no gather: off
+    the support |den| = 1 is above DENOMINATOR_FLOOR, which leaves exactly
+    the support's elements to decide it.
     A term with conj_f takes the conjugate angular sum, as
     interp(conj fs) = conj(interp fs).
     """
@@ -344,15 +368,15 @@ def _sweep_side(grid, quad, hl_range, terms):
         cols = np.nonzero(chunk_runs.any(axis=0))[0]
         ka = np.where(chunk_runs, k0[idx], c.size).min()
         kb = np.where(chunk_runs, k1[idx], 0).max()
-        rr = rho[idx][:, None, None]
-        ss = sigma[cols][None, :, None]
-        tau = np.sqrt(np.maximum(rr**2 + ss**2 - 2.0 * rr * ss * c[ka:kb],
-                                 0.0))
+        rr = rho[idx][None, :, None]
+        ss = sigma[cols][None, None, :]
+        tau = np.sqrt(np.maximum(
+            rr**2 + ss**2 - 2.0 * rr * ss * c[ka:kb, None, None], 0.0))
         cut = chi0(tau / j)
-        mask = cut > 0
-        cut *= wc[ka:kb]
+        off = cut == 0.0
+        cut *= wc[ka:kb, None, None]
         # weights per key, divided in place into the fresh den; off the
-        # mask cut is 0 (chi0 >= 0) and den is set to 1, so weights are 0
+        # support cut is 0 (chi0 >= 0) and den is set to 1, so weights are 0
         weights = {}
         for fs, f_terms in by_f.values():
             f_tau = np.interp(tau, rho, fs, left=0.0, right=0.0)
@@ -362,15 +386,14 @@ def _sweep_side(grid, quad, hl_range, terms):
                 if weight is None:
                     den = (term.spec.denominator(rr, ss, tau) if term.mirrored
                            else term.spec.denominator(rr, tau, ss))
-                    if (np.any(mask)
-                            and np.abs(den[mask]).min() < DENOMINATOR_FLOOR):
+                    np.copyto(den, 1.0, where=off)
+                    if np.abs(den).min() < DENOMINATOR_FLOOR:
                         raise KernelError(
                             f"{term.spec.kind} denominator vanished on "
                             f"restricted support (f block {j:g}, g blocks "
                             f"{lo:g}..{hi:g})")
-                    den[~mask] = 1.0
                     weight = weights[key] = np.divide(cut, den, out=den)
-                angular = np.einsum("rck,rck->rc", weight, f_tau)
+                angular = np.einsum("krc,krc->rc", weight, f_tau)
                 if term.conj_f:
                     angular = angular.conj()
                 term.out[idx] += 4.0 * np.pi * (angular
@@ -392,6 +415,7 @@ def omega(f: RadialField, g: RadialField, iota: float,
     side's geometry and f's interpolation, Omega^- taking the conjugate of
     its angular sums instead of a second transform of conj f.
     """
+    _same_grid(f, g)
     grid = f.grid
     out_spec = np.zeros(grid.n, dtype=np.complex128)
     _sweep(grid, quad or AngularQuadrature(), _omega_terms(
@@ -410,6 +434,9 @@ def omega_tilde_self_spectra(grid: RadialGrid, us: np.ndarray, iota: float,
     """Spectra of Omega_tilde_iota(u, conj u), (2 pi)^{-4} applied, for
     every column u of the (n, S) spectral block us.  All columns' terms go
     to one _sweep, so each HL range's geometry is built once for all."""
+    if np.ndim(us) != 2 or np.shape(us)[0] != grid.n:
+        raise ValueError(f"us must be an (n, S) = ({grid.n}, S) block of "
+                         f"spectral columns, got shape {np.shape(us)}")
     rows = np.ascontiguousarray(us.T, dtype=np.complex128)
     out = np.zeros(rows.shape, dtype=np.complex128)
     terms = [term for u_s, out_s in zip(rows, out)
@@ -421,7 +448,9 @@ def omega_tilde_self_spectra(grid: RadialGrid, us: np.ndarray, iota: float,
 def _corrections(u, N, iota1, iota2, quad):
     """(Omega_{iota1}(N, u), D Omega_tilde_{iota2}(u, conj u)), all three
     kernels in one _sweep: with iota1 == iota2 the three share one geometry
-    pass per HL range, mirrored Omega_tilde pairs included."""
+    pass per HL range, mirrored Omega_tilde pairs included.  u and N
+    must live on one grid (GridError otherwise)."""
+    _same_grid(u, N)
     grid = u.grid
     us = to_spectral(u).values
     omega_spec = np.zeros(grid.n, dtype=np.complex128)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,6 +61,28 @@ class TestCutoff:
             assert isinstance(bump_profile(scalar(ti)), float)
             assert bump_profile(scalar(ti)) == pytest.approx(bump[i], abs=1e-15)
             assert chi0(scalar(ti)) == pytest.approx(ann[i], abs=1e-15)
+
+    def test_array_path_is_two_bumps_bit_for_bit(self):
+        # the one-cosine array path equals bump(x) - bump(2x) bit for bit,
+        # kinks, their neighbours, zeros, negatives, NaN and +-inf included,
+        # and raises no warning where the two-bump form overflows 2x
+        rng = np.random.default_rng(25)
+        kinks = np.array([0.5, 1.0, 2.0, 0.25, 4.0])
+        x = np.concatenate([
+            rng.uniform(-1.0, 3.0, 20000), rng.uniform(0.49, 2.01, 20000),
+            kinks, np.nextafter(kinks, 0.0), np.nextafter(kinks, np.inf),
+            [0.0, -0.0, -0.5, -3.0, 5e-324, np.nan, np.inf, -np.inf,
+             1e308, -1e308]])
+        with np.errstate(over="ignore"):
+            ref = bump_profile(x) - bump_profile(2.0 * x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = chi0(x)
+            block = chi0(x[:40000].reshape(200, 10, 20))
+        assert got.dtype == np.float64 and got.shape == x.shape
+        assert got.tobytes() == ref.tobytes()
+        assert block.tobytes() == ref[:40000].tobytes()
+        assert np.all(got[-8:] == 0.0)
 
     def test_exact_telescoping(self):
         # partial sums telescope exactly: sum over 2^Z of chi0(x/j) = 1

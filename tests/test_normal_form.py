@@ -4,7 +4,9 @@ from scipy import integrate
 
 from zakharov4d.grid import (
     FOURIER_NORM,
+    GridError,
     RadialField,
+    RadialGrid,
     SPECTRAL,
     lp_norm,
     make_grid,
@@ -37,6 +39,7 @@ from zakharov4d.normal_form import (
     normal_transform,
     omega,
     omega_tilde,
+    omega_tilde_self_spectra,
 )
 
 
@@ -120,6 +123,15 @@ class TestAngularQuadrature:
         with pytest.raises(ValueError, match="n_theta"):
             AngularQuadrature(bad)
         assert AngularQuadrature(1).nodes.shape == (1,)
+
+    @pytest.mark.parametrize("bad", [16.5, 8.0, True, np.bool_(True),
+                                     np.nan, "8"])
+    def test_rejects_non_integer_count(self, bad):
+        # 16.5 built 17 nodes under the name 16.5, True built one node, and
+        # NaN failed only at first use
+        with pytest.raises(ValueError, match="n_theta"):
+            AngularQuadrature(bad)
+        assert AngularQuadrature(np.int64(8)).nodes.shape == (8,)
 
 
 class TestPairRestrictions:
@@ -296,6 +308,31 @@ class TestApplyBilinear:
                 apply_bilinear(BilinearKernelSpec(kind, 1 / 8), f, h, quad)
         with pytest.raises(KernelError):
             normal_transform(h, f, 1 / 8, 1 / 8, quad)
+
+    def test_rejects_factors_on_different_grids(self):
+        # u and N on two grids used to give a correction of norm 0.09
+        g1, g2 = RadialGrid(64, 10.0), RadialGrid(64, 20.0)
+        f = transform(RadialField(
+            g1, (1.0 / (1 + g1.rho_nodes**2)).astype(complex), SPECTRAL))
+        h = transform(RadialField(
+            g2, (1.0 / (1 + g2.rho_nodes**2)).astype(complex), SPECTRAL))
+        quad = AngularQuadrature(8)
+        for kind in (OMEGA_PLUS, OMEGA_MINUS, OMEGA_TILDE):
+            with pytest.raises(GridError):
+                apply_bilinear(BilinearKernelSpec(kind, 1 / 8), f, h, quad)
+        with pytest.raises(GridError):
+            omega(h, f, 1 / 8, quad)
+        with pytest.raises(GridError):
+            _corrections(f, h, 1 / 8, 1 / 8, quad)
+        with pytest.raises(GridError):
+            normal_transform(f, h, 1 / 8, 1 / 8, quad)
+        with pytest.raises(GridError):
+            normal_inverse(f, h, 1 / 8, 1 / 8, quad=quad)
+        # an equal grid built twice is the same grid
+        same = RadialField(RadialGrid(64, 10.0), f.values, f.space)
+        spec = BilinearKernelSpec(OMEGA_PLUS, 1 / 8)
+        assert np.array_equal(apply_bilinear(spec, f, same, quad).values,
+                              apply_bilinear(spec, f, f, quad).values)
 
     def test_adaptive_quadrature_oracle(self, ogrid):
         # one output node checked against an adaptive (sigma, c) integration
@@ -475,6 +512,17 @@ class TestNormalTransform:
         _corrections(u, N, 1 / 8, 1 / 8, AngularQuadrature(8))
         ranges = _block_ranges(g, lambda j, k: _hl(j, k, 1 / 8))
         assert sorted(calls) == sorted(ranges)
+
+    @pytest.mark.parametrize("shape", [(64,), (32, 2), (64, 2, 1)])
+    def test_self_spectra_reject_bad_block(self, shape):
+        # a 1-D column and a short block used to fail inside numpy
+        g = make_grid(64, 10.0)
+        with pytest.raises(ValueError, match=r"\(64, S\)"):
+            omega_tilde_self_spectra(g, np.ones(shape, complex), 1 / 8,
+                                     AngularQuadrature(8))
+        out = omega_tilde_self_spectra(g, np.ones((64, 2), complex), 1 / 8,
+                                       AngularQuadrature(8))
+        assert out.shape == (64, 2)
 
     def test_zero_wave_leaves_u(self, kgrid):
         u = block_field(kgrid, 8.0, width=0.5, amp=0.3)

@@ -54,9 +54,9 @@ def chi0(x: np.ndarray) -> np.ndarray:
     On (1/2, 1] bump(x) = 1 and on (1, 2) bump(2x) = 0, so an array takes
     one cosine, of t = 2x or x, as val = cos^2(pi (t-1)/2): chi0 is 1 - val
     for x <= 1, val above, and 0 off (1/2, 2), NaN and +-inf included.
-    That is bump(x) - bump(2x) bit for bit, with no gather or scatter.  t
-    is set to 1 off the support before anything is computed on it, so no
-    x raises a warning (the two-bump form overflows 2x for |x| > 9e307).
+    That is bump(x) - bump(2x) bit for bit, with no gather or scatter.  x
+    is replaced by 1 off the support before any arithmetic, so no x raises
+    a warning (the two-bump form overflows 2x for |x| > 9e307).
     A float takes bump_profile's scalar path.
     """
     if isinstance(x, float):
@@ -65,7 +65,7 @@ def chi0(x: np.ndarray) -> np.ndarray:
     low = x <= 1.0
     on = (x > 0.5) & (x < 2.0)
     val = np.where(on, x, 1.0)
-    val *= 1.0 + low
+    val *= 1.0 + low  # t: 2x on (1/2, 1], x on (1, 2), finite off them
     val -= 1.0
     val *= np.pi
     val /= 2.0

@@ -309,6 +309,28 @@ class TestApplyBilinear:
         with pytest.raises(KernelError):
             normal_transform(h, f, 1 / 8, 1 / 8, quad)
 
+    def test_vanishing_denominator_off_support_is_ignored(self, ogrid,
+                                                          monkeypatch):
+        # j = 16's cutoff lives on tau in (8, 32); the boxes also hold
+        # elements off that support, where a zero denominator is no
+        # resonance and must neither raise nor reach the output
+        f = block_field(ogrid, 8.0, 0.8)
+        h = block_field(ogrid, 1.0, 0.4)
+        quad = AngularQuadrature(16)
+        true_den = BilinearKernelSpec.denominator
+        outs = {}
+        for kind in (OMEGA_PLUS, OMEGA_TILDE):
+            spec = BilinearKernelSpec(kind, 1 / 8)
+            outs[kind] = apply_bilinear(spec, f, h, quad).values
+        monkeypatch.setattr(
+            BilinearKernelSpec, "denominator",
+            lambda self, rho, tau, sigma: np.where(
+                (tau <= 8.0) | (tau >= 32.0), 0.0,
+                true_den(self, rho, tau, sigma)))
+        for kind, ref in outs.items():
+            out = apply_bilinear(BilinearKernelSpec(kind, 1 / 8), f, h, quad)
+            assert np.array_equal(out.values, ref)
+
     def test_rejects_factors_on_different_grids(self):
         # u and N on two grids used to give a correction of norm 0.09
         g1, g2 = RadialGrid(64, 10.0), RadialGrid(64, 20.0)

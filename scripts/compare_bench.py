@@ -8,6 +8,12 @@ Runs ``bench/run.py`` (untraced) of each checkout on every workload of
 which side runs first (pair i uses seed ``--seed + i`` on both sides).  Each
 checkout's benchmark code runs on its own sources.
 
+Then the import floor: ``--pairs`` rounds, each starting one fresh
+interpreter per side (the side that goes first swapped each round), which
+imports every module of that side's package and reports its ``ru_maxrss``
+in MB and the wall time of the imports, the resident floor under every
+workload's ``peak_rss_mb``.
+
 Then one sweep process loads both checkouts' packages, each under its own
 name (the package imports only relatively), and times every sweep point on
 the two sides alternately, ``SWEEP_ROUNDS`` rounds per point with the side
@@ -201,6 +207,19 @@ print(json.dumps(out))
 """
 
 
+# Arguments: the package's module names.  Prints the peak RSS in MB and
+# the seconds spent importing them (numpy and scipy included) as JSON.
+IMPORT_CODE = """
+import importlib, json, resource, sys, time
+t0 = time.perf_counter()
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+seconds = time.perf_counter() - t0
+print(json.dumps({"maxrss_mb": resource.getrusage(
+    resource.RUSAGE_SELF).ru_maxrss / 1024.0, "import_s": seconds}))
+"""
+
+
 def blas_env() -> dict:
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -224,6 +243,19 @@ def bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"seed": seed, "correct": res["correct"],
             "attempted": res["attempted"], "failed": res["failed"],
             **{k: v["value"] for k, v in res["metrics"].items()}}
+
+
+def import_run(root: Path) -> dict:
+    package = root / "src" / "zakharov4d"
+    names = ["zakharov4d" if path.stem == "__init__"
+             else f"zakharov4d.{path.stem}"
+             for path in sorted(package.glob("*.py"))]
+    env = blas_env()
+    env["PYTHONPATH"] = str(root / "src")
+    proc = subprocess.run([sys.executable, "-c", IMPORT_CODE, *names],
+                          cwd=root, env=env, capture_output=True, text=True,
+                          check=True)
+    return last_json(proc.stdout)
 
 
 def sweep_run(sides: dict) -> dict:
@@ -321,6 +353,12 @@ def main(argv=None) -> int:
                 print(f"{w} pair {i} {side}: wall_s {res['wall_s']:.3f}",
                       file=sys.stderr, flush=True)
 
+    imports = {"base": [], "head": []}
+    for i in range(args.pairs):
+        for side in alternate(i):
+            imports[side].append(import_run(sides[side]))
+    print("import floor done", file=sys.stderr, flush=True)
+
     sweep = sweep_run(sides)
     print("sweep done", file=sys.stderr, flush=True)
 
@@ -340,6 +378,15 @@ def main(argv=None) -> int:
               "order": "pair i runs base first when i is even, head first "
                        "when i is odd; one process at a time",
               "summary": summary, "runs": runs,
+              "import_floor": {
+                  "what": "one fresh interpreter per side and round imports "
+                          "every module of its package; ru_maxrss in MB "
+                          "and the imports' wall time",
+                  "summary": {key: compare([r[key] for r in imports["base"]],
+                                           [r[key] for r in imports["head"]],
+                                           "lower")
+                              for key in ("maxrss_mb", "import_s")},
+                  "rounds": imports},
               "sweep": {"data": "normal_form: spectrum 0.5 / (1 + rho^2), "
                                 "r_max 12, iota 1/8, 16 angles, "
                                 "apply_bilinear f = u, g = conj u, "

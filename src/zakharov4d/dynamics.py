@@ -144,6 +144,13 @@ class IntegratorConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.adaptive and self.dt_floor <= 0:
             raise ValueError("adaptive stepping needs a positive dt floor")
+        # a stride that is not an int (2.5, True) takes rows or samples on
+        # another step count than the one asked for
+        for name in ("monitor_every", "store_every"):
+            count = getattr(self, name)
+            if (isinstance(count, bool)
+                    or not isinstance(count, (int, np.integer))):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
         if self.monitor_every < 1:
             raise ValueError(f"monitor_every {self.monitor_every} < 1")
         if self.store_every < 0:
@@ -628,9 +635,17 @@ def strichartz_probe(grid: RadialGrid, family: dict, delta: float,
     `dyadic_profile` gives every member's X^delta profile, each dyadic
     block synthesised from its own rows for all members at once; each
     horizon T is reduced from the samples at t <= T.  A non-finite step
-    raises BlowupError, and a horizon that is not finite a ValueError.
+    raises BlowupError; no horizon, a horizon that is not finite or an
+    ensemble size that is not a positive integer, a ValueError.
     """
     horizons = np.sort(np.asarray(horizons, dtype=float))
+    if horizons.size == 0:
+        raise ValueError("probe horizons must list at least one horizon")
+    if (isinstance(ensemble_size, bool)
+            or not isinstance(ensemble_size, (int, np.integer))
+            or ensemble_size < 1):
+        raise ValueError(f"ensemble_size must be a positive integer, got "
+                         f"{ensemble_size!r}")
     t_end = float(horizons[-1])
     if horizons[0] < 0.0 or t_end <= 0.0:   # each horizon T is a window [0, T]
         raise ValueError(f"probe horizons {horizons.tolist()} must be >= 0 "

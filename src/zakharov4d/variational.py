@@ -16,13 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .grid import (
     GridError,
     RadialField,
     RadialGrid,
-    SPHERE_S3,
     field,
     lp_norm,
     to_physical,
@@ -70,18 +68,16 @@ class GroundState:
 
 
 def ground_state(grid: RadialGrid) -> GroundState:
-    """Sample W and compute its constants by quadrature.
+    """Sample W and compute its constants.
 
-    W4_4 comes from the grid quadrature (fast-decaying integrand);
-    grad_W_sq from untruncated quadrature of the closed-form integrand
-    |W'(r)|^2 = r^2 W^4/16 on [0, inf), since the grid's finite window
-    misses a ~r_max^{-2} share of the gradient tail.
+    W4_4 comes from the grid quadrature (fast-decaying integrand).
+    grad_W_sq is the closed form W4_4_EXACT = 32 pi^2/3: testing
+    -Lap W = W^3 against W gives |grad W|_2^2 = |W|_4^4, and the grid's
+    finite window would miss a ~r_max^{-2} share of the gradient tail.
     """
     w = w_field(grid)
     W4_4 = lp_norm(w, 4) ** 4
-    integrand = lambda r: (r * r / 16.0) * w_profile(r) ** 4 * r**3
-    tail, _ = quad(integrand, 0.0, np.inf, limit=200)
-    grad_sq = SPHERE_S3 * tail
+    grad_sq = W4_4_EXACT
     C_S = grad_sq ** -0.25
     return GroundState(
         field=w,

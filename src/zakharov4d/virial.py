@@ -55,8 +55,10 @@ class VirialWeights:
     """
 
     def __init__(self, grid: RadialGrid, R: float):
-        if R <= 0:
-            raise ValueError("virial scale R must be positive")
+        # R = inf makes psi = 1 (V_R quietly becomes V_inf), NaN every weight
+        if not np.isfinite(R) or R <= 0:
+            raise ValueError(f"virial scale R must be positive and finite, "
+                             f"got {R!r}")
         self.grid = grid
         self.R = float(R)
         x = grid.r_nodes / R

@@ -597,6 +597,18 @@ class TestScatteringDiagnostics:
         assert verdict.verdict == SCATTERING_LIKE
         assert verdict.detail["local_ratio"] < 0.5
 
+    @pytest.mark.parametrize("name", ["monitor_every", "store_every"])
+    @pytest.mark.parametrize("bad", [2.5, 1.5, True, np.float64(2.0)])
+    def test_config_refuses_non_integer_strides(self, name, bad):
+        # 2.5 wrote a row every 5 steps, 1.5 stored every 3rd, True meant 1
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            IntegratorConfig(**{name: bad})
+
+    def test_config_accepts_numpy_integer_strides(self):
+        cfg = IntegratorConfig(monitor_every=np.int64(3),
+                               store_every=np.int32(2))
+        assert (cfg.monitor_every, cfg.store_every) == (3, 2)
+
     def test_short_run_inconclusive(self, grid_small):
         state = gaussian_state(grid_small)
         cfg = IntegratorConfig(dt=1e-3, mode=FREE, monitor_every=10)
@@ -620,6 +632,20 @@ class TestStrichartzProbe:
         with pytest.raises(ValueError, match=r"horizons \[-1\.0, 2\.0\]"):
             strichartz_probe(grid_small, {"kind": "zero"}, 0.0, 1,
                              [-1.0, 2.0], np.random.default_rng(0), dt=0.05)
+
+    def test_rejects_empty_horizons(self, grid_small):
+        # used to raise IndexError at horizons[-1]
+        with pytest.raises(ValueError, match="at least one horizon"):
+            strichartz_probe(grid_small, {"kind": "zero"}, 0.0, 1, [],
+                             np.random.default_rng(0), dt=0.05)
+
+    @pytest.mark.parametrize("bad", [0, -2, 1.5, True, np.float64(2.0)])
+    def test_rejects_bad_ensemble_size(self, grid_small, bad):
+        # 0 failed in np.column_stack, 1.5 in range
+        with pytest.raises(ValueError,
+                           match="ensemble_size must be a positive integer"):
+            strichartz_probe(grid_small, {"kind": "zero"}, 0.0, bad, [1.0],
+                             np.random.default_rng(0), dt=0.05)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_horizon(self, grid_small, bad):

@@ -1,5 +1,6 @@
-"""Source hygiene: every imported name is used where it is imported, and
-one function in the package calls the stepping kernel.
+"""Source hygiene: every imported name is used where it is imported, one
+function in the package calls the stepping kernel, and the package loads
+no scipy subpackage it does not use.
 
 A stdlib ``ast`` scan of the package, the tests, the scripts and the
 benchmark (read only).  An import counts as
@@ -11,6 +12,10 @@ patches on that module, so a re-export cannot outlive the span it serves.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,3 +106,26 @@ def test_one_stepper_calls_the_kernel():
                    for node in _own_nodes(fn)):
                 callers.append(f"{path.name}:{fn.name}")
     assert callers == ["dynamics.py:_accepted_steps"]
+
+
+def test_package_loads_only_the_scipy_it_uses():
+    # a fresh interpreter imports every module of the package: scipy.special
+    # (J_0, J_1) and scipy.sparse (the banded FD matrices) are all it uses,
+    # and any other public subpackage on the import path is resident memory
+    # and import time that no computation needs
+    code = ("import importlib, json, sys\n"
+            "for name in sys.argv[1:]:\n"
+            "    importlib.import_module(name)\n"
+            "print(json.dumps(sorted(\n"
+            "    k for k in sys.modules if k.startswith('scipy.')\n"
+            "    and k.count('.') == 1 and not k.split('.')[1].startswith('_'))))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code]
+                          + [path.parent.name if path.stem == "__init__"
+                             else f"{path.parent.name}.{path.stem}"
+                             for path in PACKAGE],
+                          env=env, capture_output=True, text=True, check=True)
+    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert loaded == ["scipy.sparse", "scipy.special", "scipy.version"]

@@ -3,8 +3,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from zakharov4d.grid import (GridError, RadialField, RadialGrid, field, lp_norm,
-                             make_grid)
+from zakharov4d.grid import (SPHERE_S3, GridError, RadialField, RadialGrid,
+                             field, lp_norm, make_grid)
 from zakharov4d.variational import (
     ABOVE_THRESHOLD,
     BLOWUP_SIDE,
@@ -63,6 +63,17 @@ class TestGroundState:
         assert gs.grad_W_sq == pytest.approx(gs.C_S**-4, rel=1e-5)
         assert gs.grad_W_sq == pytest.approx(4 * gs.E_S_W, rel=1e-5)
         assert gs.mass_threshold**2 == pytest.approx(gs.W4_4, rel=1e-5)
+
+    def test_gradient_identity_by_quadrature(self):
+        # ground_state takes |grad W|_2^2 as the closed form |W|_4^4; check
+        # it against quadrature of |W'(r)|^2 = r^2 W^4 / 16 on [0, inf)
+        from scipy.integrate import quad
+        tail, _ = quad(lambda r: (r * r / 16.0) * w_profile(r) ** 4 * r**3,
+                       0.0, np.inf, limit=200)
+        assert SPHERE_S3 * tail == pytest.approx(W4_4_EXACT, rel=1e-10)
+
+    def test_grad_w_is_the_closed_form(self, gs):
+        assert gs.grad_W_sq == W4_4_EXACT
 
     def test_static_equation_interior(self, grid_w):
         from zakharov4d.grid import op_laplacian

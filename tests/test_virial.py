@@ -80,6 +80,12 @@ class TestWeights:
         with pytest.raises(ValueError):
             VirialWeights(wgrid, 0.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_scale(self, wgrid, bad):
+        # R = inf made psi = 1, so V_R was V_inf; NaN made every weight NaN
+        with pytest.raises(ValueError, match="positive and finite"):
+            VirialWeights(wgrid, bad)
+
 
 class TestApplyAs:
     def test_monomial(self, grid_medium):

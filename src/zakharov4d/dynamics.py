@@ -121,6 +121,11 @@ class ZakharovState:
         return self.u.grid
 
 
+def _is_int(value) -> bool:
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool))
+
+
 @dataclass
 class IntegratorConfig:
     dt: float = 1e-3                 # adaptive: the first step, not a cap
@@ -148,8 +153,7 @@ class IntegratorConfig:
         # another step count than the one asked for
         for name in ("monitor_every", "store_every"):
             count = getattr(self, name)
-            if (isinstance(count, bool)
-                    or not isinstance(count, (int, np.integer))):
+            if not _is_int(count):
                 raise ValueError(f"{name} must be an integer, got {count!r}")
         if self.monitor_every < 1:
             raise ValueError(f"monitor_every {self.monitor_every} < 1")
@@ -635,15 +639,16 @@ def strichartz_probe(grid: RadialGrid, family: dict, delta: float,
     `dyadic_profile` gives every member's X^delta profile, each dyadic
     block synthesised from its own rows for all members at once; each
     horizon T is reduced from the samples at t <= T.  A non-finite step
-    raises BlowupError; no horizon, a horizon that is not finite or an
-    ensemble size that is not a positive integer, a ValueError.
+    raises BlowupError.  Horizons that are not one non-empty list or not
+    finite, and an ensemble size that is not a positive integer, raise
+    ValueError.
     """
-    horizons = np.sort(np.asarray(horizons, dtype=float))
-    if horizons.size == 0:
-        raise ValueError("probe horizons must list at least one horizon")
-    if (isinstance(ensemble_size, bool)
-            or not isinstance(ensemble_size, (int, np.integer))
-            or ensemble_size < 1):
+    horizons = np.asarray(horizons, dtype=float)
+    if horizons.ndim != 1 or horizons.size == 0:
+        raise ValueError(f"probe horizons {horizons.tolist()} must be one "
+                         "list of at least one horizon")
+    horizons = np.sort(horizons)
+    if not _is_int(ensemble_size) or ensemble_size < 1:
         raise ValueError(f"ensemble_size must be a positive integer, got "
                          f"{ensemble_size!r}")
     t_end = float(horizons[-1])

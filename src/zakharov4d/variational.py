@@ -77,14 +77,12 @@ def ground_state(grid: RadialGrid) -> GroundState:
     """
     w = w_field(grid)
     W4_4 = lp_norm(w, 4) ** 4
-    grad_sq = W4_4_EXACT
-    C_S = grad_sq ** -0.25
     return GroundState(
         field=w,
-        grad_W_sq=grad_sq,
+        grad_W_sq=W4_4_EXACT,
         W4_4=W4_4,
-        C_S=C_S,
-        E_S_W=0.5 * grad_sq - 0.25 * W4_4,
+        C_S=W4_4_EXACT ** -0.25,
+        E_S_W=0.5 * W4_4_EXACT - 0.25 * W4_4,
         mass_threshold=np.sqrt(W4_4),
     )
 

@@ -633,10 +633,12 @@ class TestStrichartzProbe:
             strichartz_probe(grid_small, {"kind": "zero"}, 0.0, 1,
                              [-1.0, 2.0], np.random.default_rng(0), dt=0.05)
 
-    def test_rejects_empty_horizons(self, grid_small):
-        # used to raise IndexError at horizons[-1]
-        with pytest.raises(ValueError, match="at least one horizon"):
-            strichartz_probe(grid_small, {"kind": "zero"}, 0.0, 1, [],
+    @pytest.mark.parametrize("bad", [[], 2.0, [[1.0, 2.0]]])
+    def test_rejects_horizons_that_are_not_one_list(self, grid_small, bad):
+        # [] raised IndexError at horizons[-1], and a scalar or nested list
+        # failed inside numpy
+        with pytest.raises(ValueError, match="one list of at least one"):
+            strichartz_probe(grid_small, {"kind": "zero"}, 0.0, 1, bad,
                              np.random.default_rng(0), dt=0.05)
 
     @pytest.mark.parametrize("bad", [0, -2, 1.5, True, np.float64(2.0)])

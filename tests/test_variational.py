@@ -2,6 +2,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from zakharov4d.grid import (SPHERE_S3, GridError, RadialField, RadialGrid,
                              field, lp_norm, make_grid)
@@ -67,7 +68,6 @@ class TestGroundState:
     def test_gradient_identity_by_quadrature(self):
         # ground_state takes |grad W|_2^2 as the closed form |W|_4^4; check
         # it against quadrature of |W'(r)|^2 = r^2 W^4 / 16 on [0, inf)
-        from scipy.integrate import quad
         tail, _ = quad(lambda r: (r * r / 16.0) * w_profile(r) ** 4 * r**3,
                        0.0, np.inf, limit=200)
         assert SPHERE_S3 * tail == pytest.approx(W4_4_EXACT, rel=1e-10)
